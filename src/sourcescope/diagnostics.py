@@ -17,12 +17,13 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .errors import SingleClassDataError, SingularDesignError
+from .errors import SeparationError, SingleClassDataError, SingularDesignError
 from .model import (
     FitOptions,
     FitResult,
     LabeledDataset,
     LogitModel,
+    cell_design,
     fit_intercept_only,
     fit_logit,
     predict_probability,
@@ -53,12 +54,11 @@ __all__ = [
 # --------------------------------------------------------------------------
 
 def null_log_likelihood(data: LabeledDataset) -> float:
-    """Log-likelihood of the intercept-only model: n1 ln(n1/n) + n0 ln(n0/n)."""
-    ones, zeros = data.class_counts()
-    if ones == 0 or zeros == 0:
-        raise SingleClassDataError("dataset has a single label value")
-    n = len(data)
-    return ones * math.log(ones / n) + zeros * math.log(zeros / n)
+    """Log-likelihood of the intercept-only model (see :func:`fit_intercept_only`)."""
+    try:
+        return fit_intercept_only(data)[1]
+    except SeparationError:
+        raise SingleClassDataError("dataset has a single label value") from None
 
 
 def mcfadden(lnl: float, lnl0: float) -> float:
@@ -96,35 +96,26 @@ def lr_test(lnl: float, lnl0: float, df: int) -> tuple[float, float]:
 # --------------------------------------------------------------------------
 
 def vif(data: LabeledDataset, features: Sequence[str]) -> dict[str, float]:
-    """Variance inflation factors 1/(1 - Rj^2) from auxiliary regressions.
+    """Variance inflation factors 1/(1 - Rj^2), in closed form as the diagonal
+    of the inverse count-weighted correlation matrix of the features.
 
-    Each feature column is regressed on the remaining columns plus an
-    intercept by ordinary least squares.  A single-feature request returns
-    exactly 1.0 (nothing to be collinear with).
+    A single-feature request returns exactly 1.0 (nothing to be collinear with).
     """
     features = tuple(features)
     if not features:
         return {}
-    Z = data.feature_matrix(features)
-    n = Z.shape[0]
-    design = np.column_stack([np.ones(n), Z])
-    if np.linalg.matrix_rank(design) < design.shape[1]:
+    X, _, n = cell_design(data, features)
+    if np.linalg.matrix_rank(X) < X.shape[1]:
         raise SingularDesignError(f"feature columns {features} are collinear or constant")
-    if len(features) == 1:
-        return {features[0]: 1.0}
-
-    out: dict[str, float] = {}
-    for j, name in enumerate(features):
-        target = Z[:, j]
-        others = np.column_stack([np.ones(n), np.delete(Z, j, axis=1)])
-        coef, _, _, _ = np.linalg.lstsq(others, target, rcond=None)
-        residual = target - others @ coef
-        total = float(np.sum((target - target.mean()) ** 2))
-        r_squared = 1.0 - float(residual @ residual) / total
-        if r_squared > 1.0 - 1e-12:
+    covariance = np.atleast_2d(np.cov(X[:, 1:], rowvar=False, fweights=n))
+    scale = np.sqrt(np.diag(covariance))
+    correlation = covariance / np.outer(scale, scale)
+    np.fill_diagonal(correlation, 1.0)
+    inflation = np.diag(np.linalg.inv(correlation))
+    for name, value in zip(features, inflation):
+        if value > 1e12:  # Rj^2 > 1 - 1e-12
             raise SingularDesignError(f"feature {name!r} is an exact combination of the others")
-        out[name] = 1.0 / (1.0 - r_squared)
-    return out
+    return {name: float(value) for name, value in zip(features, inflation)}
 
 
 # --------------------------------------------------------------------------
@@ -174,12 +165,9 @@ def confusion_matrix(model: LogitModel, data: LabeledDataset,
     if not 0.0 < cutoff < 1.0:
         raise ValueError(f"cutoff must lie in (0, 1), got {cutoff!r}")
     cells = [0, 0, 0, 0]  # TR, FF, FR, TF
-    for features, label in data.rows:
-        predicted_fake = predict_probability(model, features) > cutoff
-        if label == 0:
-            cells[1 if predicted_fake else 0] += 1
-        else:
-            cells[3 if predicted_fake else 2] += 1
+    for bits, label, count in data.cells(model.features):
+        predicted_fake = predict_probability(model, dict(zip(model.features, bits))) > cutoff
+        cells[2 * label + predicted_fake] += count
     return ConfusionMatrix(*cells, cutoff=cutoff)
 
 
@@ -201,10 +189,10 @@ def wald_tests(model: LogitModel, data: LabeledDataset) -> dict[str, WaldTest]:
     Keys are 'intercept' plus the model's feature names.
     """
     names = ("intercept",) + model.features
-    X = np.column_stack([np.ones(len(data)), data.feature_matrix(model.features)])
+    X, _, n = cell_design(data, model.features)
     beta = np.array([model.intercept, *model.coefficients.values()])
     p = sigmoid(X @ beta)
-    w = p * (1.0 - p)
+    w = n * p * (1.0 - p)
     information = (X * w[:, None]).T @ X
     try:
         covariance = np.linalg.inv(information)

@@ -299,8 +299,11 @@ def _fetch_offline(url: str, policy: FetchPolicy) -> SiteSnapshot:
     final_url = _force_scheme(manifest.get("final_url", url), secure)
 
     pages = [(final_url, (site_dir / "index.html").read_text(encoding="utf-8"))]
+    root = site_dir.resolve()
     for name in manifest.get("secondary_pages", [])[: policy.max_secondary_pages]:
-        page_path = site_dir / name
+        page_path = (site_dir / name).resolve()
+        if not page_path.is_relative_to(root):
+            raise NetworkUnreachableError(url, f"fixture page {name!r} lies outside {site_dir}")
         if not page_path.is_file():
             raise NetworkUnreachableError(url, f"fixture lists missing page {name!r}")
         pages.append((urljoin(final_url, name), page_path.read_text(encoding="utf-8")))

@@ -14,7 +14,7 @@ import os
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Optional, Sequence, Union
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -124,37 +124,70 @@ FEATURE_SUBSETS = {
 }
 
 
-@dataclass(frozen=True)
-class LabeledDataset:
-    """Rows of (features, label) with label 1 meaning fake."""
+# Count-table cell index: the label is the high bit, then the five features
+# in FEATURE_NAMES order, padlock first.
+_FEATURE_CELLS = 1 << len(FEATURE_NAMES)
 
-    rows: tuple[tuple[FeatureVector, int], ...]
+
+@dataclass(frozen=True, init=False)
+class LabeledDataset:
+    """(features, label) rows, label 1 meaning fake, folded into their 64-cell
+    count table as they are read, so memory does not grow with the row count.
+    """
+
+    counts: tuple[int, ...]
     provenance: Optional[str] = None
 
-    def __post_init__(self):
-        if not self.rows:
-            raise EmptyDataError("dataset is empty")
-        for i, (features, label) in enumerate(self.rows):
+    def __init__(self, rows: Iterable[tuple[FeatureVector, int]],
+                 provenance: Optional[str] = None):
+        counts = [0] * (2 * _FEATURE_CELLS)
+        for i, (features, label) in enumerate(rows):
             if label not in (0, 1):
                 raise ValueError(f"row {i}: label must be 0 or 1, got {label!r}")
             if not isinstance(features, FeatureVector):
                 raise TypeError(f"row {i}: expected FeatureVector")
-        object.__setattr__(self, "rows", tuple(self.rows))
+            index = label
+            for name in FEATURE_NAMES:
+                index = 2 * index + getattr(features, name)
+            counts[int(index)] += 1
+        if not any(counts):
+            raise EmptyDataError("dataset is empty")
+        object.__setattr__(self, "counts", tuple(counts))
+        object.__setattr__(self, "provenance", provenance)
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return sum(self.counts)
+
+    def cells(self, features: Sequence[str]) -> list[tuple[tuple[int, ...], int, int]]:
+        """``(bits of features, label, count)`` for every occupied cell, in table order."""
+        for name in features:
+            if name not in FEATURE_NAMES:
+                raise MissingFeatureError(f"unknown feature {name!r}")
+        shifts = [len(FEATURE_NAMES) - 1 - FEATURE_NAMES.index(name) for name in features]
+        return [(tuple(index >> shift & 1 for shift in shifts), index // _FEATURE_CELLS, count)
+                for index, count in enumerate(self.counts) if count]
 
     def labels(self) -> np.ndarray:
-        return np.array([label for _, label in self.rows], dtype=float)
+        """Per-row labels, rows expanded from the table in table order."""
+        _, y, n = cell_design(self, ())
+        return np.repeat(y, n)
 
     def feature_matrix(self, features: Sequence[str]) -> np.ndarray:
-        return np.array(
-            [[fv.get(name) for name in features] for fv, _ in self.rows], dtype=float)
+        """Per-row feature columns, in the row order of :meth:`labels`."""
+        X, _, n = cell_design(self, features)
+        return np.repeat(X[:, 1:], n, axis=0)
 
     def class_counts(self) -> tuple[int, int]:
         """(n fake, n reliable)."""
-        ones = sum(label for _, label in self.rows)
-        return ones, len(self.rows) - ones
+        ones = sum(self.counts[_FEATURE_CELLS:])
+        return ones, len(self) - ones
+
+
+def cell_design(data: LabeledDataset, features: Sequence[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The occupied cells as a weighted design: (X with intercept column, y, counts)."""
+    bits, y, n = zip(*data.cells(features))
+    X = np.column_stack([np.ones(len(n)), np.array(bits, dtype=float)])
+    return X, np.array(y, dtype=float), np.array(n)
 
 
 @dataclass(frozen=True)
@@ -191,21 +224,15 @@ def predict_probability(model: LogitModel,
     return min(max(p, _P_FLOOR), _P_CEIL)
 
 
-def _log_likelihood_from_z(z: np.ndarray, y: np.ndarray) -> float:
-    # y*ln p + (1-y)*ln(1-p) without ever forming p
-    return float(-(np.logaddexp(0.0, -z) * y + np.logaddexp(0.0, z) * (1.0 - y)).sum())
+def _log_likelihood_from_z(z: np.ndarray, y: np.ndarray, n: np.ndarray) -> float:
+    # count-weighted y*ln p + (1-y)*ln(1-p) without ever forming p
+    return float(-((np.logaddexp(0.0, -z) * y + np.logaddexp(0.0, z) * (1.0 - y)) * n).sum())
 
 
 def log_likelihood(model: LogitModel, data: LabeledDataset) -> float:
     """Binomial log-likelihood of the dataset under the model."""
-    X = data.feature_matrix(model.features)
-    z = model.intercept + X @ np.array(list(model.coefficients.values()))
-    return _log_likelihood_from_z(z, data.labels())
-
-
-def _design_matrix(data: LabeledDataset, features: Sequence[str]) -> np.ndarray:
-    X = data.feature_matrix(features)
-    return np.column_stack([np.ones(len(data)), X])
+    X, y, n = cell_design(data, model.features)
+    return _log_likelihood_from_z(X @ [model.intercept, *model.coefficients.values()], y, n)
 
 
 def fit_logit(data: LabeledDataset, features: Sequence[str],
@@ -225,7 +252,7 @@ def fit_logit(data: LabeledDataset, features: Sequence[str],
 
 def fit_intercept_only(data: LabeledDataset,
                        opts: Optional[FitOptions] = None) -> tuple[float, float]:
-    """Closed-form null fit: (intercept, log-likelihood)."""
+    """Closed-form null fit: (intercept, log-likelihood n1 ln(n1/n) + n0 ln(n0/n))."""
     ones, zeros = data.class_counts()
     if ones == 0 or zeros == 0:
         raise SeparationError("single-class data: null log-odds are infinite")
@@ -236,22 +263,21 @@ def fit_intercept_only(data: LabeledDataset,
 
 
 def _fit(data: LabeledDataset, features: tuple[str, ...], opts: FitOptions) -> FitResult:
-    X = _design_matrix(data, features)
-    y = data.labels()
+    X, y, n = cell_design(data, features)
     if np.linalg.matrix_rank(X) < X.shape[1]:
         raise SingularDesignError(
             f"design matrix is rank deficient over features {features}")
 
     beta = np.zeros(X.shape[1])
-    lnl = _log_likelihood_from_z(X @ beta, y)
+    lnl = _log_likelihood_from_z(X @ beta, y, n)
     for iteration in range(opts.max_iterations):
         z = X @ beta
         p = sigmoid(z)
-        score = X.T @ (y - p)
+        score = X.T @ (n * (y - p))
         if np.max(np.abs(score)) < opts.tolerance:
             return FitResult(_as_model(beta, features), lnl, iteration)
 
-        w = p * (1.0 - p)
+        w = n * p * (1.0 - p)
         hessian = (X * w[:, None]).T @ X
         try:
             step = np.linalg.solve(hessian, score)
@@ -261,12 +287,12 @@ def _fit(data: LabeledDataset, features: tuple[str, ...], opts: FitOptions) -> F
 
         # step-halving keeps the likelihood monotone on awkward data
         new_beta = beta + step
-        new_lnl = _log_likelihood_from_z(X @ new_beta, y)
+        new_lnl = _log_likelihood_from_z(X @ new_beta, y, n)
         halvings = 0
         while new_lnl < lnl and halvings < 20:
             step *= 0.5
             new_beta = beta + step
-            new_lnl = _log_likelihood_from_z(X @ new_beta, y)
+            new_lnl = _log_likelihood_from_z(X @ new_beta, y, n)
             halvings += 1
         beta, lnl = new_beta, new_lnl
 
@@ -293,24 +319,19 @@ def marginal_effects(model: LogitModel, data: LabeledDataset,
     """
     if convention not in ("at-means", "average"):
         raise ValueError(f"convention must be 'at-means' or 'average', got {convention!r}")
-    if len(data) == 0:
-        raise EmptyDataError("marginal effects need data")
-    features = model.features
-    X = data.feature_matrix(features)
-    beta = np.array(list(model.coefficients.values()))
-    means = X.mean(axis=0)
+    X, _, n = cell_design(data, model.features)
+    beta = np.array([model.intercept, *model.coefficients.values()])
+    means = n @ X / n.sum()
     slopes: dict[str, float] = {}
-    for j, name in enumerate(features):
+    for j, name in enumerate(model.features, start=1):
         if convention == "at-means":
             x1, x0 = means.copy(), means.copy()
             x1[j], x0[j] = 1.0, 0.0
-            slopes[name] = float(sigmoid(model.intercept + x1 @ beta)
-                                 - sigmoid(model.intercept + x0 @ beta))
+            slopes[name] = float(sigmoid(x1 @ beta) - sigmoid(x0 @ beta))
         else:
             x1, x0 = X.copy(), X.copy()
             x1[:, j], x0[:, j] = 1.0, 0.0
-            slopes[name] = float(np.mean(sigmoid(model.intercept + x1 @ beta)
-                                         - sigmoid(model.intercept + x0 @ beta)))
+            slopes[name] = float(n @ (sigmoid(x1 @ beta) - sigmoid(x0 @ beta)) / n.sum())
     return slopes
 
 

@@ -13,11 +13,12 @@ import logging
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .diagnostics import FitDiagnostics, diagnose_fit, wald_tests, WaldTest
 from .errors import (
     DuplicateHeaderError,
+    EmptyDataError,
     EmptyFileError,
     MissingColumnError,
     NonBinaryCellError,
@@ -41,7 +42,7 @@ from .model import (
     save_model_file,
 )
 from .screener import KnownDomainDB, mimicry_check, normalize_domain
-from .stats import ChiSquareResult, TetrachoricMatrix, chi_square_test, crosstab, tetrachoric_matrix
+from .stats import VARIABLES, ChiSquareResult, TetrachoricMatrix, chi_square_test, crosstab, tetrachoric_matrix
 
 __all__ = [
     "ScoreRequest",
@@ -58,7 +59,7 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-DATASET_COLUMNS = ("label", "padlock", "contact", "telephone", "about", "terms")
+DATASET_COLUMNS = VARIABLES
 _BATCH_WORKERS = 8
 
 
@@ -135,8 +136,7 @@ def score_url(request: ScoreRequest, model: LogitModel, db: KnownDomainDB,
 
 
 def score_many(requests: Sequence[ScoreRequest], model: LogitModel, db: KnownDomainDB,
-               lexicon: Optional[KeywordLexicon] = None,
-               max_workers: int = _BATCH_WORKERS) -> list[tuple[ScoreRequest, Optional[ScoreReport], Optional[Exception]]]:
+               lexicon: Optional[KeywordLexicon] = None) -> list[tuple[ScoreRequest, Optional[ScoreReport], Optional[Exception]]]:
     """Score a batch concurrently; results keep the input order."""
     lexicon = lexicon or default_lexicon()
 
@@ -149,7 +149,7 @@ def score_many(requests: Sequence[ScoreRequest], model: LogitModel, db: KnownDom
 
     if len(requests) <= 1:
         return [run(r) for r in requests]
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
+    with ThreadPoolExecutor(max_workers=_BATCH_WORKERS) as pool:
         return list(pool.map(run, requests))
 
 
@@ -158,7 +158,10 @@ def score_many(requests: Sequence[ScoreRequest], model: LogitModel, db: KnownDom
 # --------------------------------------------------------------------------
 
 def load_dataset(path: str | Path) -> LabeledDataset:
-    """Read the labeled CSV (header: label,padlock,contact,telephone,about,terms[,url])."""
+    """Read the labeled CSV (header: label,padlock,contact,telephone,about,terms[,url]).
+
+    The ``url`` column is validated as a column but its values are not kept.
+    """
     path = Path(path)
     with path.open(encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle)
@@ -168,31 +171,27 @@ def load_dataset(path: str | Path) -> LabeledDataset:
             raise EmptyFileError(f"{path}: file is empty") from None
         header = [cell.strip() for cell in header]
         _validate_header(header, path)
-        has_url = len(header) == len(DATASET_COLUMNS) + 1
+        try:
+            return LabeledDataset(_read_rows(reader, len(header), path), provenance=str(path))
+        except EmptyDataError:
+            raise EmptyFileError(f"{path}: no data rows") from None
 
-        rows: list[tuple[FeatureVector, int]] = []
-        for line_no, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) != len(header):
+
+def _read_rows(reader, width: int, path: Path) -> Iterator[tuple[FeatureVector, int]]:
+    """Validated (features, label) pairs of the CSV body, one at a time."""
+    for line_no, row in enumerate(reader, start=2):
+        if not row or all(not cell.strip() for cell in row):
+            continue
+        if len(row) != width:
+            raise NonBinaryCellError(
+                f"{path}:{line_no}: expected {width} cells, found {len(row)}")
+        cells = [cell.strip() for cell in row[:len(DATASET_COLUMNS)]]
+        for name, cell in zip(DATASET_COLUMNS, cells):
+            if cell not in ("0", "1"):
                 raise NonBinaryCellError(
-                    f"{path}:{line_no}: expected {len(header)} cells, found {len(row)}")
-            values = {}
-            for name, cell in zip(DATASET_COLUMNS, row):
-                cell = cell.strip()
-                if cell not in ("0", "1"):
-                    raise NonBinaryCellError(
-                        f"{path}:{line_no}: column {name!r} has non-binary value {cell!r}")
-                values[name] = int(cell)
-            url = row[len(DATASET_COLUMNS)].strip() if has_url else None
-            features = FeatureVector(
-                padlock=values["padlock"], contact=values["contact"],
-                telephone=values["telephone"], about=values["about"],
-                terms=values["terms"], source_url=url or None)
-            rows.append((features, values["label"]))
-    if not rows:
-        raise EmptyFileError(f"{path}: no data rows")
-    return LabeledDataset(tuple(rows), provenance=str(path))
+                    f"{path}:{line_no}: column {name!r} has non-binary value {cell!r}")
+        label, *bits = map(int, cells)
+        yield FeatureVector(**dict(zip(DATASET_COLUMNS[1:], bits))), label
 
 
 def _validate_header(header: list[str], path: Path) -> None:

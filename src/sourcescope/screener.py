@@ -22,7 +22,7 @@ copies"; there is no single canonical one.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 from typing import Optional
@@ -142,16 +142,12 @@ _HOMOGLYPH_CHARS = str.maketrans({
 _LABEL_RE = re.compile(r"^[a-z0-9¡-￿]([a-z0-9¡-￿-]*[a-z0-9¡-￿])?$")
 
 
-def fold_homoglyphs(domain: str, extra: Optional[dict[str, str]] = None) -> str:
+def fold_homoglyphs(domain: str) -> str:
     """Casefold and collapse confusable characters to their Latin class."""
     s = domain.casefold()
     for pair, repl in _HOMOGLYPH_DIGRAPHS:
         s = s.replace(pair, repl)
-    s = s.translate(_HOMOGLYPH_CHARS)
-    if extra:
-        for src, repl in extra.items():
-            s = s.replace(src.casefold(), repl.casefold())
-    return s
+    return s.translate(_HOMOGLYPH_CHARS)
 
 
 def _decode_punycode(hostname: str) -> str:
@@ -249,7 +245,6 @@ class KnownDomainDB:
 
     entries: tuple[str, ...]
     version: str = "unversioned"
-    extra_confusables: dict[str, str] = field(default_factory=dict)
 
     def __post_init__(self):
         seen: dict[str, None] = {}
@@ -287,10 +282,9 @@ class MimicryVerdict:
             raise ValueError("Clean verdict carries no target or reason")
 
 
-def _entry_match(domain: str, entry: str,
-                 extra_confusables: Optional[dict[str, str]]) -> Optional[tuple[int, str]]:
+def _entry_match(domain: str, entry: str) -> Optional[tuple[int, str]]:
     """(distance, reason) for the most specific rule ``entry`` satisfies."""
-    if fold_homoglyphs(domain, extra_confusables) == fold_homoglyphs(entry, extra_confusables):
+    if fold_homoglyphs(domain) == fold_homoglyphs(entry):
         return 0, "homoglyph"
     if domain.startswith(entry + ".") and len(domain) > len(entry) + 1:
         return 0, "embedded-domain"
@@ -316,7 +310,7 @@ def mimicry_check(domain: str, db: KnownDomainDB) -> MimicryVerdict:
 
     best: Optional[tuple[int, str, str]] = None
     for entry in db.entries:
-        hit = _entry_match(domain, entry, db.extra_confusables)
+        hit = _entry_match(domain, entry)
         if hit is None:
             continue
         distance, reason = hit

@@ -297,17 +297,9 @@ def crosstab(data, a: str, b: str) -> ContingencyTable2x2:
         if name not in VARIABLES:
             raise UnknownVariableError(f"unknown variable {name!r}; expected one of {VARIABLES}")
     counts = [0, 0, 0, 0]  # n11, n10, n01, n00
-    for features, label in data.rows:
-        va = label if a == "label" else getattr(features, a)
-        vb = label if b == "label" else getattr(features, b)
-        if va and vb:
-            counts[0] += 1
-        elif va:
-            counts[1] += 1
-        elif vb:
-            counts[2] += 1
-        else:
-            counts[3] += 1
+    for bits, label, count in data.cells(VARIABLES[1:]):
+        values = dict(zip(VARIABLES, (label, *bits)))
+        counts[2 * (1 - values[a]) + 1 - values[b]] += count
     return ContingencyTable2x2(*counts)
 
 

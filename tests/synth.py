@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from sourcescope.features import FeatureVector
+from sourcescope.features import FEATURE_NAMES, FeatureVector
 from sourcescope.model import MODEL_II, LabeledDataset
 
 MODEL_II_FEATURES = tuple(MODEL_II.coefficients)
@@ -55,10 +55,8 @@ def unbalanced_dataset(rng: np.random.Generator, n: int,
 
 
 def write_csv(path, data: LabeledDataset) -> None:
+    """One CSV line per row of the dataset's count table, in table order."""
     lines = ["label,padlock,contact,telephone,about,terms"]
-    for features, label in data.rows:
-        bits = features.as_dict()
-        lines.append(",".join(str(v) for v in (
-            label, bits["padlock"], bits["contact"], bits["telephone"],
-            bits["about"], bits["terms"])))
+    for bits, label, count in data.cells(FEATURE_NAMES):
+        lines += [",".join(map(str, (label, *bits)))] * count
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -298,6 +298,18 @@ class TestOfflineFetch:
         assert len(snap.pages) == 2
         assert "landing" in snap.pages[0][1]
 
+    @pytest.mark.parametrize("name", ["../outside.html", "sub/../../outside.html", "{abs}"])
+    def test_secondary_page_outside_site_rejected(self, tmp_path, name):
+        site = tmp_path / "root" / "escape.test"
+        site.mkdir(parents=True)
+        (site / "index.html").write_text(page("<p>landing</p>"), encoding="utf-8")
+        outside = tmp_path / "root" / "outside.html"
+        outside.write_text(page("<p>phone: 5550100200</p>"), encoding="utf-8")
+        (site / "manifest.json").write_text(
+            json.dumps({"secondary_pages": [name.format(abs=outside)]}), encoding="utf-8")
+        with pytest.raises(NetworkUnreachableError, match="lies outside"):
+            fetch_site("http://escape.test", FetchPolicy(offline_root=tmp_path / "root"))
+
     def test_missing_fixture(self, tmp_path):
         with pytest.raises(NetworkUnreachableError):
             fetch_site("http://nowhere.test", FetchPolicy(offline_root=tmp_path))

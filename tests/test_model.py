@@ -46,12 +46,16 @@ def dataset_from_counts(cells):
     return LabeledDataset(tuple(rows))
 
 
-def random_dataset(rng, n, features=FEATURE_NAMES):
+def random_rows(rng, n):
     rows = []
     for _ in range(n):
         bits = {name: int(rng.integers(0, 2)) for name in FEATURE_NAMES}
         rows.append((fv(**bits), int(rng.integers(0, 2))))
-    return LabeledDataset(tuple(rows))
+    return rows
+
+
+def random_dataset(rng, n, features=FEATURE_NAMES):
+    return LabeledDataset(tuple(random_rows(rng, n)))
 
 
 class TestPredict:
@@ -167,10 +171,10 @@ class TestFit:
 
     def test_row_order_invariance(self):
         rng = np.random.default_rng(23)
-        data = random_dataset(rng, 250)
-        shuffled_rows = list(data.rows)
-        rng.shuffle(shuffled_rows)
-        shuffled = LabeledDataset(tuple(shuffled_rows))
+        rows = random_rows(rng, 250)
+        data = LabeledDataset(tuple(rows))
+        rng.shuffle(rows)
+        shuffled = LabeledDataset(tuple(rows))
         a = fit_logit(data, ("padlock", "about"))
         b = fit_logit(shuffled, ("padlock", "about"))
         assert a.model.intercept == pytest.approx(b.model.intercept, abs=1e-9)

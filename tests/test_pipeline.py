@@ -10,7 +10,12 @@ from sourcescope.errors import (
     NonBinaryCellError,
     ZeroMarginError,
 )
-from sourcescope.features import FetchPolicy, get_fetch_counters, reset_fetch_counters
+from sourcescope.features import (
+    FEATURE_NAMES,
+    FetchPolicy,
+    get_fetch_counters,
+    reset_fetch_counters,
+)
 from sourcescope.model import MODEL_II, load_model_file
 from sourcescope.pipeline import (
     ScoreRequest,
@@ -118,15 +123,25 @@ class TestLoadDataset:
             "1,0,0,0,0,0\n0,1,1,1,1,1\n1,0,1,0,1,0\n", encoding="utf-8")
         data = load_dataset(path)
         assert len(data) == 3
-        assert data.rows[1][1] == 0
+        assert data.class_counts() == (2, 1)
+        assert data.cells(FEATURE_NAMES) == [
+            ((1, 1, 1, 1, 1), 0, 1), ((0, 0, 0, 0, 0), 1, 1), ((0, 1, 0, 1, 0), 1, 1)]
 
     def test_optional_url_column(self, tmp_path):
         path = tmp_path / "data.csv"
         path.write_text(
             "label,padlock,contact,telephone,about,terms,url\n"
-            "1,0,0,0,0,0,http://a.test\n", encoding="utf-8")
+            "1,0,0,0,0,0,http://a.test\n0,1,0,0,0,1,\n", encoding="utf-8")
         data = load_dataset(path)
-        assert data.rows[0][0].source_url == "http://a.test"
+        assert data.cells(FEATURE_NAMES) == [((1, 0, 0, 0, 1), 0, 1), ((0, 0, 0, 0, 0), 1, 1)]
+
+    def test_bad_cell_after_good_rows_names_its_line(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text(
+            "label,padlock,contact,telephone,about,terms\n"
+            "1,0,0,0,0,0\n0,1,1,1,1,1\n1,0,0,x,0,0\n0,0,0,0,0,0\n", encoding="utf-8")
+        with pytest.raises(NonBinaryCellError, match=r":4: column 'telephone'"):
+            load_dataset(path)
 
     def test_non_binary_cell_names_location(self, tmp_path):
         path = tmp_path / "data.csv"
