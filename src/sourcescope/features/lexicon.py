@@ -17,6 +17,7 @@ from pathlib import Path
 from typing import Mapping
 
 from ..errors import LexiconError
+from .html_text import normalize_text
 
 __all__ = ["KeywordLexicon", "SECTION_KINDS", "load_lexicon", "default_lexicon"]
 
@@ -29,10 +30,6 @@ _REQUIRED_ENGLISH = {
     "about": ("about us", "information", "who we are"),
     "terms": ("terms and conditions", "terms", "legal notes", "terms of use"),
 }
-
-
-def _normalize_phrase(phrase: str) -> str:
-    return " ".join(phrase.casefold().split())
 
 
 @dataclass(frozen=True)
@@ -56,7 +53,7 @@ class KeywordLexicon:
                 for phrase in phrases:
                     if not phrase.strip():
                         raise LexiconError(f"{kind}/{lang}: empty phrase")
-            present = {_normalize_phrase(p) for p in table.get("en", ())}
+            present = {normalize_text(p) for p in table.get("en", ())}
             missing = [p for p in _REQUIRED_ENGLISH[kind] if p not in present]
             if missing:
                 raise LexiconError(f"{kind}: lexicon must keep English seed phrases {missing}")
@@ -73,7 +70,7 @@ class KeywordLexicon:
         table = getattr(self, kind)
         out = []
         for lang in self.languages:
-            out.extend(_normalize_phrase(p) for p in table.get(lang, ()))
+            out.extend(normalize_text(p) for p in table.get(lang, ()))
         return tuple(dict.fromkeys(out))
 
     def all_section_phrases(self) -> tuple[str, ...]:
@@ -84,7 +81,7 @@ class KeywordLexicon:
         return tuple(dict.fromkeys(out))
 
     def telephone_keywords_normalized(self) -> tuple[str, ...]:
-        return tuple(dict.fromkeys(_normalize_phrase(k) for k in self.telephone_keywords))
+        return tuple(dict.fromkeys(normalize_text(k) for k in self.telephone_keywords))
 
 
 def _lexicon_from_mapping(raw: Mapping, origin: str) -> KeywordLexicon:

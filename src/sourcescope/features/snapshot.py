@@ -8,16 +8,19 @@ a fixture directory and performs zero network operations.
 
 from __future__ import annotations
 
+import functools
+import http.client
 import json
 import logging
+import ssl
 import threading
+import urllib.request
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
-from urllib.parse import urljoin, urlsplit, urlunsplit
-
-import requests
+from urllib.error import URLError
+from urllib.parse import quote, urljoin, urlsplit, urlunsplit
 
 from ..errors import (
     BodyTooLargeError,
@@ -44,6 +47,8 @@ logger = logging.getLogger(__name__)
 _REDIRECT_CODES = (301, 302, 303, 307, 308)
 _HTML_TYPES = ("text/html", "application/xhtml+xml")
 _SECONDARY_WORKERS = 4
+# left as is in a path or query; spaces and non-ASCII go out as UTF-8 %XX
+_URL_SAFE = "!#$%&'()*+,/:;=?@[]~"
 
 
 @dataclass(frozen=True)
@@ -119,81 +124,77 @@ def _looks_like_html(head: bytes) -> bool:
     return sample.startswith(b"<!doctype") or b"<html" in sample or sample.startswith(b"<")
 
 
-class _HttpFetcher:
-    """One session worth of GETs with explicit redirect and size bounds."""
+# loading the CA store takes ~50 ms, so the verified context is built once;
+# it is never modified afterwards, and every thread may share it
+_verified_context = functools.cache(ssl.create_default_context)
 
-    def __init__(self, policy: FetchPolicy):
-        self.policy = policy
-        self.session = requests.Session()
-        self.session.headers["User-Agent"] = "sourcescope/0.1"
-        self._verify = True
-        self._warned_cert = False
 
-    def close(self):
-        self.session.close()
+def _open(url: str, policy: FetchPolicy, verify: bool = True) -> http.client.HTTPResponse:
+    """One GET: redirects are not followed and every status is returned."""
+    _count("http_requests")
+    if verify:
+        context = _verified_context()
+    else:
+        context = ssl.SSLContext(ssl.PROTOCOL_TLS_CLIENT)
+        context.check_hostname = False
+        context.verify_mode = ssl.CERT_NONE
+    opener = urllib.request.OpenerDirector()
+    for handler in (urllib.request.ProxyHandler(), urllib.request.UnknownHandler(),
+                    urllib.request.HTTPHandler(), urllib.request.HTTPSHandler(context=context)):
+        opener.add_handler(handler)
+    parts = urlsplit(url)
+    target = urlunsplit(parts._replace(path=quote(parts.path, safe=_URL_SAFE),
+                                       query=quote(parts.query, safe=_URL_SAFE)))
+    request = urllib.request.Request(target, headers={"User-Agent": "sourcescope/0.1"})
+    return opener.open(request, timeout=policy.timeout)
 
-    def _single_get(self, url: str) -> requests.Response:
-        _count("http_requests")
+
+def _get_html(url: str, policy: FetchPolicy) -> tuple[str, str]:
+    """Follow redirects and return (final_url, html_text)."""
+    current = url
+    for _ in range(policy.max_redirects + 1):
         try:
-            return self.session.get(
-                url, timeout=self.policy.timeout, allow_redirects=False,
-                stream=True, verify=self._verify)
-        except requests.exceptions.SSLError:
-            if self._verify:
+            try:
+                response = _open(current, policy)
+            except URLError as exc:
+                if not isinstance(exc.reason, ssl.SSLCertVerificationError):
+                    raise
                 # TLS negotiated but the certificate failed validation; the
                 # padlock bit tracks protocol use, not certificate health.
                 logger.warning("certificate verification failed for %s; "
-                               "continuing unverified (padlock unaffected)", url)
-                self._verify = False
-                return self._single_get(url)
-            raise
-
-    def get_html(self, url: str) -> tuple[str, str]:
-        """Follow redirects and return (final_url, html_text)."""
-        current = url
-        for _ in range(self.policy.max_redirects + 1):
-            try:
-                response = self._single_get(current)
-            except requests.exceptions.Timeout:
-                raise FetchTimeoutError(current, "request timed out") from None
-            except requests.exceptions.ConnectionError as exc:
-                raise NetworkUnreachableError(current, f"connection failed: {exc}") from None
-            except requests.exceptions.RequestException as exc:
-                raise NetworkUnreachableError(current, f"request failed: {exc}") from None
+                               "continuing unverified (padlock unaffected)", current)
+                response = _open(current, policy, verify=False)
             with response:
-                if response.status_code in _REDIRECT_CODES:
+                if response.status in _REDIRECT_CODES:
                     location = response.headers.get("Location")
                     if not location:
                         raise NetworkUnreachableError(current, "redirect without Location")
                     current = urljoin(current, location)
                     continue
-                if response.status_code >= 400:
-                    raise NetworkUnreachableError(
-                        current, f"HTTP {response.status_code}")
+                if response.status >= 400:
+                    raise NetworkUnreachableError(current, f"HTTP {response.status}")
                 content_type = (response.headers.get("Content-Type") or "").split(";")[0].strip().lower()
                 if content_type and content_type not in _HTML_TYPES:
                     raise NonHtmlContentError(current, f"content type {content_type!r}")
-                body = self._read_limited(response, current)
-                if not content_type and not _looks_like_html(body):
-                    raise NonHtmlContentError(current, "response does not look like HTML")
-                encoding = response.encoding or "utf-8"
-                try:
-                    text = body.decode(encoding, errors="replace")
-                except LookupError:
-                    text = body.decode("utf-8", errors="replace")
-                return current, text
-        raise TooManyRedirectsError(url, f"more than {self.policy.max_redirects} redirects")
-
-    def _read_limited(self, response: requests.Response, url: str) -> bytes:
-        limit = self.policy.max_body_bytes
-        chunks = []
-        read = 0
-        for chunk in response.iter_content(chunk_size=65536):
-            read += len(chunk)
-            if read > limit:
-                raise BodyTooLargeError(url, f"body exceeds {limit} bytes")
-            chunks.append(chunk)
-        return b"".join(chunks)
+                body = response.read(policy.max_body_bytes + 1)
+                if response.length and len(body) <= policy.max_body_bytes:
+                    raise NetworkUnreachableError(current, "body shorter than its Content-Length")
+                charset = response.headers.get_content_charset()
+        except (OSError, http.client.HTTPException, UnicodeError) as exc:
+            if isinstance(exc, TimeoutError) or isinstance(getattr(exc, "reason", None), TimeoutError):
+                raise FetchTimeoutError(current, "request timed out") from None
+            raise NetworkUnreachableError(current, f"request failed: {exc}") from None
+        if len(body) > policy.max_body_bytes:
+            raise BodyTooLargeError(current, f"body exceeds {policy.max_body_bytes} bytes")
+        if not content_type and not _looks_like_html(body):
+            raise NonHtmlContentError(current, "response does not look like HTML")
+        # RFC 2616's default, kept until the charset fix of ROADMAP item 4
+        encoding = charset or ("iso-8859-1" if content_type.startswith("text/") else "utf-8")
+        try:
+            return current, body.decode(encoding, errors="replace")
+        except LookupError:
+            return current, body.decode("utf-8", errors="replace")
+    raise TooManyRedirectsError(url, f"more than {policy.max_redirects} redirects")
 
 
 def _candidate_links(landing_url: str, html: str, lexicon: KeywordLexicon,
@@ -230,28 +231,23 @@ def _candidate_links(landing_url: str, html: str, lexicon: KeywordLexicon,
 
 
 def _fetch_live(url: str, policy: FetchPolicy, lexicon: KeywordLexicon) -> SiteSnapshot:
-    requested = _complete_url(url)
-    fetcher = _HttpFetcher(policy)
-    try:
-        final_url, landing_html = fetcher.get_html(requested)
-        pages = [(final_url, landing_html)]
-        candidates = _candidate_links(final_url, landing_html, lexicon,
-                                      policy.max_secondary_pages)
+    final_url, landing_html = _get_html(_complete_url(url), policy)
+    pages = [(final_url, landing_html)]
+    candidates = _candidate_links(final_url, landing_html, lexicon,
+                                  policy.max_secondary_pages)
 
-        def fetch_one(link: str):
-            try:
-                return fetcher.get_html(link)
-            except Exception as exc:
-                logger.warning("skipping candidate page %s: %s", link, exc)
-                return None
+    def fetch_one(link: str):
+        try:
+            return _get_html(link, policy)
+        except Exception as exc:
+            logger.warning("skipping candidate page %s: %s", link, exc)
+            return None
 
-        if candidates:
-            with ThreadPoolExecutor(max_workers=_SECONDARY_WORKERS) as pool:
-                for result in pool.map(fetch_one, candidates):
-                    if result is not None:
-                        pages.append(result)
-    finally:
-        fetcher.close()
+    if candidates:
+        with ThreadPoolExecutor(max_workers=_SECONDARY_WORKERS) as pool:
+            for result in pool.map(fetch_one, candidates):
+                if result is not None:
+                    pages.append(result)
     secure = urlsplit(final_url).scheme == "https"
     return SiteSnapshot(
         requested_url=url,

@@ -250,8 +250,7 @@ def fit_logit(data: LabeledDataset, features: Sequence[str],
     return _fit(data, features, opts or FitOptions())
 
 
-def fit_intercept_only(data: LabeledDataset,
-                       opts: Optional[FitOptions] = None) -> tuple[float, float]:
+def fit_intercept_only(data: LabeledDataset) -> tuple[float, float]:
     """Closed-form null fit: (intercept, log-likelihood n1 ln(n1/n) + n0 ln(n0/n))."""
     ones, zeros = data.class_counts()
     if ones == 0 or zeros == 0:

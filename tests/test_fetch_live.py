@@ -1,8 +1,15 @@
 """Live HTTP path exercised against a local loopback server."""
 
+import logging
+import os
 import socket
+import ssl
+import subprocess
+import sys
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 
 import pytest
 
@@ -24,6 +31,12 @@ LANDING = """<!DOCTYPE html><html><head><title>live</title></head><body>
 
 CONTACT = """<!DOCTYPE html><html><body><p>phone: 555 010 3344</p></body></html>"""
 ABOUT = """<!DOCTYPE html><html><body><h4>who we are</h4></body></html>"""
+INTL = """<!DOCTYPE html><html><body>
+<a href="/über-uns">Über uns</a>
+<a href="/contact us.html">Contact</a>
+</body></html>"""
+
+TLS = Path(__file__).parent / "fixtures" / "tls"   # self-signed for IP 127.0.0.1
 
 
 class Handler(BaseHTTPRequestHandler):
@@ -60,9 +73,37 @@ class Handler(BaseHTTPRequestHandler):
         elif self.path == "/huge":
             self._send_html("<html>" + "x" * 5000 + "</html>")
         elif self.path == "/slow":
-            import time
             time.sleep(2.0)
             self._send_html("<html>late</html>")
+        elif self.path == "/stall":
+            self.send_response(200)
+            self.send_header("Content-Type", "text/html")
+            self.send_header("Content-Length", "1000")
+            self.end_headers()
+            self.wfile.write(b"<html>")
+            self.wfile.flush()
+            time.sleep(2.0)
+        elif self.path == "/truncated":
+            self.send_response(200)
+            self.send_header("Content-Type", "text/html")
+            self.send_header("Content-Length", "1000")
+            self.end_headers()
+            self.wfile.write(b"<html>cut short</html>")
+        elif self.path == "/ftp":
+            self.send_response(302)
+            self.send_header("Location", "ftp://127.0.0.1/index.html")
+            self.end_headers()
+        elif self.path == "/cp1252":
+            payload = b"<html><p>caf\xe9</p></html>"
+            self.send_response(200)
+            self.send_header("Content-Type", "text/html; charset=windows-1252")
+            self.send_header("Content-Length", str(len(payload)))
+            self.end_headers()
+            self.wfile.write(payload)
+        elif self.path == "/intl":
+            self._send_html(INTL)
+        elif self.path in ("/%C3%BCber-uns", "/contact%20us.html"):
+            self._send_html(ABOUT)
         elif self.path == "/missing":
             self.send_response(404)
             self.end_headers()
@@ -78,6 +119,20 @@ def server():
     thread.start()
     yield f"http://127.0.0.1:{httpd.server_address[1]}"
     httpd.shutdown()
+    httpd.server_close()
+
+
+@pytest.fixture(scope="module")
+def tls_server():
+    httpd = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+    context = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
+    context.load_cert_chain(TLS / "cert.pem", TLS / "key.pem")
+    httpd.socket = context.wrap_socket(httpd.socket, server_side=True)
+    thread = threading.Thread(target=httpd.serve_forever, daemon=True)
+    thread.start()
+    yield f"https://127.0.0.1:{httpd.server_address[1]}"
+    httpd.shutdown()
+    httpd.server_close()
 
 
 class TestLiveFetch:
@@ -135,6 +190,55 @@ class TestLiveFetch:
             fetch_site(f"{server}/pdf", FetchPolicy(timeout=5))
         assert "/pdf" in str(excinfo.value)
         assert excinfo.value.url.endswith("/pdf")
+
+
+    def test_stalled_body_times_out(self, server):
+        with pytest.raises(FetchTimeoutError) as excinfo:
+            fetch_site(f"{server}/stall", FetchPolicy(timeout=0.3))
+        assert excinfo.value.url == f"{server}/stall"
+
+    def test_truncated_body(self, server):
+        with pytest.raises(NetworkUnreachableError) as excinfo:
+            fetch_site(f"{server}/truncated", FetchPolicy(timeout=5))
+        assert excinfo.value.url == f"{server}/truncated"
+
+    def test_redirect_to_unsupported_scheme(self, server):
+        with pytest.raises(NetworkUnreachableError):
+            fetch_site(f"{server}/ftp", FetchPolicy(timeout=5))
+
+    def test_invalid_host_name(self):
+        # an empty DNS label fails IDNA encoding before any lookup is made
+        with pytest.raises(NetworkUnreachableError):
+            fetch_site("http://a..b/", FetchPolicy(timeout=2))
+
+    def test_header_charset_decodes_body(self, server):
+        snap = fetch_site(f"{server}/cp1252", FetchPolicy(timeout=5))
+        assert "café" in snap.pages[0][1]
+
+    def test_link_targets_with_spaces_and_non_ascii(self, server):
+        snap = fetch_site(f"{server}/intl", FetchPolicy(timeout=5))
+        urls = [url for url, _ in snap.pages]
+        assert urls == [f"{server}/intl", f"{server}/über-uns", f"{server}/contact us.html"]
+
+    def test_certificate_fallback(self, tls_server, caplog):
+        with caplog.at_level(logging.WARNING, logger="sourcescope.features.snapshot"):
+            snap = fetch_site(f"{tls_server}/", FetchPolicy(timeout=5))
+        assert snap.final_scheme_secure is True
+        urls = [url for url, _ in snap.pages]
+        assert f"{tls_server}/contact.html" in urls
+        assert f"{tls_server}/about.html" in urls
+        assert len(urls) == 3
+        assert "certificate verification failed" in caplog.text
+
+
+def test_import_loads_no_third_party_http_client():
+    import sourcescope
+
+    env = {**os.environ, "PYTHONPATH": str(Path(sourcescope.__file__).parents[1])}
+    code = "import sys, sourcescope; print(sorted({'requests', 'urllib3'} & set(sys.modules)))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=60, check=True).stdout
+    assert out.strip() == "[]"
 
 
 class TestOfflineFidelity:
