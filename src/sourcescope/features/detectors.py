@@ -12,7 +12,7 @@ from typing import Optional
 from urllib.parse import urlsplit
 
 from ..errors import MissingFeatureError
-from .html_text import normalize_text, parse_page
+from .html_text import PageText, normalize_text, parse_page
 from .lexicon import SECTION_KINDS, KeywordLexicon, default_lexicon
 from .snapshot import FetchPolicy, SiteSnapshot, fetch_site
 
@@ -30,6 +30,7 @@ FEATURE_NAMES = ("padlock", "contact", "telephone", "about", "terms")
 _PHONE_SCHEMES = ("tel:", "fax:", "callto:")
 # maximal run of digits with common separators, optionally led by '+'
 _DIGIT_RUN = re.compile(r"\+?\d[\d\s().\-]*")
+_WORD_CHAR = re.compile(r"\w")
 _PHONE_PROXIMITY = 40
 _MIN_DIGITS, _MAX_DIGITS = 7, 15
 
@@ -64,17 +65,24 @@ def detect_padlock(snapshot: SiteSnapshot) -> int:
     return int(snapshot.final_scheme_secure)
 
 
-def _page_regions(html: str):
-    """Anchor texts, link paths, headings and footer text of one page."""
-    page = parse_page(html)
+def _page_regions(page: PageText) -> str:
+    """Anchor texts, link paths, headings and footer text of one page.
+
+    The regions are joined by newlines.  Normalized text never holds one,
+    so a phrase found in the joined string lies within a single region.
+    """
     regions = [text for text, _ in page.anchors]
     for _, href in page.anchors:
         if href and not href.startswith(_PHONE_SCHEMES):
             regions.append(normalize_text(urlsplit(href).path))
     regions.extend(page.headings)
-    if page.footer_text:
-        regions.append(page.footer_text)
-    return regions
+    regions.append(page.footer_text)
+    return "\n".join(regions)
+
+
+def _shows_phrase(regions: str, phrases: tuple[str, ...]) -> bool:
+    """Whether one of the joined regions holds one of the phrases."""
+    return any(phrase in regions for phrase in phrases)
 
 
 def detect_section(snapshot: SiteSnapshot, lexicon: KeywordLexicon, kind: str) -> int:
@@ -83,9 +91,8 @@ def detect_section(snapshot: SiteSnapshot, lexicon: KeywordLexicon, kind: str) -
         raise ValueError(f"kind must be one of {SECTION_KINDS}, got {kind!r}")
     phrases = lexicon.phrases_for(kind)
     for _, html in snapshot.pages:
-        for region in _page_regions(html):
-            if region and any(phrase in region for phrase in phrases):
-                return 1
+        if _shows_phrase(_page_regions(parse_page(html)), phrases):
+            return 1
     return 0
 
 
@@ -98,27 +105,46 @@ def _digit_spans(text: str):
             yield match.start(), match.start() + len(run)
 
 
+def _keyword_patterns(lexicon: KeywordLexicon) -> list[re.Pattern]:
+    # Literal first: a pattern led by a lookbehind is tried at every
+    # position of the text, so the left word boundary is checked per hit.
+    return [re.compile(re.escape(k) + r"(?!\w)") for k in lexicon.telephone_keywords_normalized()]
+
+
+def _keyword_spans(text: str, pattern: re.Pattern):
+    """Spans of word-bounded keyword hits, as ``(?<!\\w)kw(?!\\w)`` finds them."""
+    pos = 0
+    while hit := pattern.search(text, pos):
+        start = hit.start()
+        if start and _WORD_CHAR.match(text, start - 1):
+            pos = start + 1
+        else:
+            yield hit.span()
+            pos = hit.end()
+
+
+def _page_has_telephone(page: PageText, keyword_patterns: list[re.Pattern]) -> bool:
+    for _, href in page.anchors:
+        if href and href.strip().casefold().startswith(_PHONE_SCHEMES):
+            return True
+    text = page.full_text
+    hits = [span for pattern in keyword_patterns for span in _keyword_spans(text, pattern)]
+    if not hits:
+        return False
+    numbers = list(_digit_spans(text))
+    for kw_start, kw_end in hits:
+        for start, end in numbers:
+            if max(start - kw_end, kw_start - end) <= _PHONE_PROXIMITY:
+                return True
+    return False
+
+
 def detect_telephone(snapshot: SiteSnapshot, lexicon: KeywordLexicon) -> int:
     """1 iff a phone-scheme link exists or a phone-length digit run sits
     within 40 characters of a telephone/fax keyword."""
-    keywords = lexicon.telephone_keywords_normalized()
-    keyword_res = [re.compile(rf"(?<!\w){re.escape(k)}(?!\w)") for k in keywords]
-    for _, html in snapshot.pages:
-        page = parse_page(html)
-        for _, href in page.anchors:
-            if href and href.strip().casefold().startswith(_PHONE_SCHEMES):
-                return 1
-        text = page.full_text
-        number_spans = list(_digit_spans(text))
-        if not number_spans:
-            continue
-        for regex in keyword_res:
-            for kw in regex.finditer(text):
-                for start, end in number_spans:
-                    gap = max(start - kw.end(), kw.start() - end)
-                    if gap <= _PHONE_PROXIMITY:
-                        return 1
-    return 0
+    patterns = _keyword_patterns(lexicon)
+    return int(any(_page_has_telephone(parse_page(html), patterns)
+                   for _, html in snapshot.pages))
 
 
 def extract_features(url: str, policy: FetchPolicy,
@@ -131,13 +157,26 @@ def extract_features(url: str, policy: FetchPolicy,
 
 def features_from_snapshot(snapshot: SiteSnapshot, lexicon: Optional[KeywordLexicon] = None,
                            source_url: Optional[str] = None) -> FeatureVector:
-    """Apply all five detectors to an existing snapshot."""
+    """Apply all five detectors to an existing snapshot, parsing each page once."""
     lexicon = lexicon or default_lexicon()
+    unseen = {kind: lexicon.phrases_for(kind) for kind in SECTION_KINDS}
+    patterns = _keyword_patterns(lexicon)
+    telephone = False
+    for _, html in snapshot.pages:
+        page = parse_page(html)
+        if unseen:
+            regions = _page_regions(page)
+            for kind, phrases in list(unseen.items()):
+                if _shows_phrase(regions, phrases):
+                    del unseen[kind]
+        telephone = telephone or _page_has_telephone(page, patterns)
+        if telephone and not unseen:
+            break
     return FeatureVector(
         padlock=detect_padlock(snapshot),
-        contact=detect_section(snapshot, lexicon, "contact"),
-        telephone=detect_telephone(snapshot, lexicon),
-        about=detect_section(snapshot, lexicon, "about"),
-        terms=detect_section(snapshot, lexicon, "terms"),
+        contact=int("contact" not in unseen),
+        telephone=int(telephone),
+        about=int("about" not in unseen),
+        terms=int("terms" not in unseen),
         source_url=source_url if source_url is not None else snapshot.requested_url,
     )

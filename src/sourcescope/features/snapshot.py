@@ -149,6 +149,18 @@ def _open(url: str, policy: FetchPolicy, verify: bool = True) -> http.client.HTT
     return opener.open(request, timeout=policy.timeout)
 
 
+def _raw_header_text(value: str) -> str:
+    """A header value as UTF-8 when its bytes are UTF-8.
+
+    ``http.client`` decodes header bytes as ISO-8859-1, so a ``Location``
+    sent as raw UTF-8 (``/über-uns``) would arrive as mojibake.
+    """
+    try:
+        return value.encode("iso-8859-1").decode("utf-8")
+    except UnicodeError:
+        return value
+
+
 def _get_html(url: str, policy: FetchPolicy) -> tuple[str, str]:
     """Follow redirects and return (final_url, html_text)."""
     current = url
@@ -169,7 +181,7 @@ def _get_html(url: str, policy: FetchPolicy) -> tuple[str, str]:
                     location = response.headers.get("Location")
                     if not location:
                         raise NetworkUnreachableError(current, "redirect without Location")
-                    current = urljoin(current, location)
+                    current = urljoin(current, _raw_header_text(location))
                     continue
                 if response.status >= 400:
                     raise NetworkUnreachableError(current, f"HTTP {response.status}")

@@ -12,8 +12,9 @@ Three imitation rules are checked, in decreasing order of specificity:
   embedded-domain  an entry's full registrable name is a prefix of the
                    domain with extra trailing segments (nbcnews.com.co)
   edit-distance    the name part is within Damerau-Levenshtein distance 1
-                   of an entry's name part, any suffix (nbcnevs.com,
-                   nbcnews.org)
+                   of an entry's name part of at least 5 characters, any
+                   suffix (nbcnevs.com, nbcnews.org; not abc.com against
+                   abc.es)
 
 These rules are this artifact's operational definition of "mimics or
 copies"; there is no single canonical one.
@@ -138,6 +139,10 @@ _HOMOGLYPH_CHARS = str.maketrans({
     "υ": "u",   # υ
     "κ": "k",   # κ
 })
+
+# Shorter names sit within one edit of many real outlets (abc.com, cbs.com,
+# dw.de, t.co), so the edit-distance rule skips entries with such names.
+_MIN_EDIT_NAME = 5
 
 _LABEL_RE = re.compile(r"^[a-z0-9¡-￿]([a-z0-9¡-￿-]*[a-z0-9¡-￿])?$")
 
@@ -288,8 +293,10 @@ def _entry_match(domain: str, entry: str) -> Optional[tuple[int, str]]:
         return 0, "homoglyph"
     if domain.startswith(entry + ".") and len(domain) > len(entry) + 1:
         return 0, "embedded-domain"
-    name_d, _ = split_registrable(domain)
     name_e, _ = split_registrable(entry)
+    if len(name_e) < _MIN_EDIT_NAME:
+        return None
+    name_d, _ = split_registrable(domain)
     distance = damerau_levenshtein(name_d, name_e)
     if distance <= 1:
         return distance, "edit-distance"

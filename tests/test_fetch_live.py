@@ -100,6 +100,11 @@ class Handler(BaseHTTPRequestHandler):
             self.send_header("Content-Length", str(len(payload)))
             self.end_headers()
             self.wfile.write(payload)
+        elif self.path == "/moved-intl":
+            self.send_response(301)
+            # the raw UTF-8 bytes of /über-uns, as servers commonly send them
+            self.send_header("Location", "/über-uns".encode("utf-8").decode("iso-8859-1"))
+            self.end_headers()
         elif self.path == "/intl":
             self._send_html(INTL)
         elif self.path in ("/%C3%BCber-uns", "/contact%20us.html"):
@@ -219,6 +224,10 @@ class TestLiveFetch:
         snap = fetch_site(f"{server}/intl", FetchPolicy(timeout=5))
         urls = [url for url, _ in snap.pages]
         assert urls == [f"{server}/intl", f"{server}/über-uns", f"{server}/contact us.html"]
+
+    def test_redirect_to_non_ascii_path(self, server):
+        snap = fetch_site(f"{server}/moved-intl", FetchPolicy(timeout=5))
+        assert snap.final_url == f"{server}/über-uns"
 
     def test_certificate_fallback(self, tls_server, caplog):
         with caplog.at_level(logging.WARNING, logger="sourcescope.features.snapshot"):

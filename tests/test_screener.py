@@ -1,5 +1,8 @@
 """Domain normalization and the imitation screen."""
 
+import json
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -85,6 +88,10 @@ class TestHomoglyphFold:
         assert fold_homoglyphs("reuters.com") != fold_homoglyphs("nbcnews.com")
 
 
+LABELED = json.loads((Path(__file__).parent / "fixtures" / "screen_verdicts.json")
+                     .read_text(encoding="utf-8"))
+
+
 @pytest.fixture()
 def small_db():
     return KnownDomainDB(("nbcnews.com", "cnn.com", "bbc.co.uk"))
@@ -129,19 +136,33 @@ class TestMimicryCheck:
             mimicry_check("nbcnews.com", KnownDomainDB(()))
 
     def test_tie_break_smallest_distance_then_name(self):
-        db = KnownDomainDB(("aacd.com", "abcd.com"))
-        verdict = mimicry_check("abcd.org", db)
-        # distance 0 to abcd beats distance 1 to aacd
-        assert verdict.matched_target == "abcd.com"
-        db2 = KnownDomainDB(("aaca.com", "aacb.com"))
-        verdict2 = mimicry_check("aacc.org", db2)
+        db = KnownDomainDB(("aacdef.com", "abcdef.com"))
+        verdict = mimicry_check("abcdef.org", db)
+        # distance 0 to abcdef beats distance 1 to aacdef
+        assert verdict.matched_target == "abcdef.com"
+        db2 = KnownDomainDB(("aacaef.com", "aacbef.com"))
+        verdict2 = mimicry_check("aaccef.org", db2)
         # equal distance: lexicographically smallest target
-        assert verdict2.matched_target == "aaca.com"
+        assert verdict2.matched_target == "aacaef.com"
 
     def test_exact_iff_membership(self, small_db):
         for domain in small_db.entries:
             assert mimicry_check(domain, small_db).outcome == "Exact"
         assert mimicry_check("nbcnews.com.co", small_db).outcome != "Exact"
+
+    @pytest.mark.parametrize("case", LABELED, ids=[c["url"] for c in LABELED])
+    def test_labeled_builtin_verdicts(self, case):
+        verdict = mimicry_check(normalize_domain(case["url"]), default_known_domains())
+        assert (verdict.outcome, verdict.matched_target, verdict.reason) == (
+            case["outcome"], case.get("target"), case.get("reason"))
+
+    def test_edit_distance_needs_an_entry_name_of_five(self):
+        db = KnownDomainDB(("abcd.com", "vwxyz.com"))
+        assert mimicry_check("abce.com", db).outcome == "Clean"
+        assert mimicry_check("abcd.org", db).outcome == "Clean"
+        # the entry's name counts, not the queried one
+        verdict = mimicry_check("wxyz.org", db)
+        assert (verdict.outcome, verdict.matched_target) == ("Mimic", "vwxyz.com")
 
     def test_removing_unrelated_entry_preserves_clean(self, small_db):
         domain = "quiet-herald.net"
@@ -151,7 +172,11 @@ class TestMimicryCheck:
 
 
 def brute_force_verdict(domain, entries):
-    """Straight re-statement of the three rules, evaluated exhaustively."""
+    """Straight re-statement of the three rules, evaluated exhaustively.
+
+    The edit-distance rule applies to entries whose name has 5 or more
+    characters.
+    """
     if domain in entries:
         return ("Exact", domain, None)
     hits = []
@@ -164,7 +189,7 @@ def brute_force_verdict(domain, entries):
             name_d, _ = split_registrable(domain)
             name_e, _ = split_registrable(entry)
             distance = damerau_levenshtein(name_d, name_e)
-            if distance <= 1:
+            if len(name_e) >= 5 and distance <= 1:
                 hits.append((distance, entry, "edit-distance"))
     if not hits:
         return ("Clean", None, None)
@@ -172,7 +197,7 @@ def brute_force_verdict(domain, entries):
     return ("Mimic", entry, reason)
 
 
-_name = st.text(alphabet="abcno01", min_size=1, max_size=6)
+_name = st.text(alphabet="abcno01", min_size=1, max_size=8)
 _suffix = st.sampled_from(["com", "org", "net", "co", "com.co", "co.uk"])
 _domain = st.builds(lambda n, s: f"{n}.{s}", _name, _suffix)
 
