@@ -125,3 +125,7 @@ class DuplicateHeaderError(DatasetError):
 
 class NonBinaryCellError(DatasetError):
     pass
+
+
+class NotUtf8Error(DatasetError):
+    """The file's bytes are not UTF-8 text."""

@@ -74,7 +74,11 @@ def _page_regions(page: PageText) -> str:
     regions = [text for text, _ in page.anchors]
     for _, href in page.anchors:
         if href and not href.startswith(_PHONE_SCHEMES):
-            regions.append(normalize_text(urlsplit(href).path))
+            try:
+                path = urlsplit(href).path
+            except ValueError:      # e.g. an unclosed "[" host: skip this link only
+                continue
+            regions.append(normalize_text(path))
     regions.extend(page.headings)
     regions.append(page.footer_text)
     return "\n".join(regions)

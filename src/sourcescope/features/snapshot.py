@@ -222,8 +222,10 @@ def _candidate_links(landing_url: str, html: str, lexicon: KeywordLexicon,
     for text, href in page.anchors:
         if not href or href.startswith(("#", "mailto:", "tel:", "fax:", "callto:", "javascript:")):
             continue
-        resolved = urljoin(landing_url, href)
-        parts = urlsplit(resolved)
+        try:
+            parts = urlsplit(urljoin(landing_url, href))
+        except ValueError:          # e.g. an unclosed "[" host: skip this link only
+            continue
         if parts.scheme not in ("http", "https"):
             continue
         resolved = urlunsplit((parts.scheme, parts.netloc, parts.path, parts.query, ""))

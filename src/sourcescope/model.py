@@ -14,6 +14,7 @@ import os
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
+from types import MappingProxyType
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 import numpy as np
@@ -33,6 +34,7 @@ from .features import FEATURE_NAMES, FeatureVector
 __all__ = [
     "LogitModel",
     "LabeledDataset",
+    "CELL_INDEX",
     "FitOptions",
     "FitResult",
     "MODEL_I",
@@ -127,6 +129,10 @@ FEATURE_SUBSETS = {
 # Count-table cell index: the label is the high bit, then the five features
 # in FEATURE_NAMES order, padlock first.
 _FEATURE_CELLS = 1 << len(FEATURE_NAMES)
+_CELLS = 2 * _FEATURE_CELLS
+# Each cell's exact CSV spelling, ("0"|"1", ...) label first, to its index.
+CELL_INDEX: Mapping[tuple[str, ...], int] = MappingProxyType(
+    {tuple(format(index, f"0{len(FEATURE_NAMES) + 1}b")): index for index in range(_CELLS)})
 
 
 @dataclass(frozen=True, init=False)
@@ -140,7 +146,7 @@ class LabeledDataset:
 
     def __init__(self, rows: Iterable[tuple[FeatureVector, int]],
                  provenance: Optional[str] = None):
-        counts = [0] * (2 * _FEATURE_CELLS)
+        counts = [0] * _CELLS
         for i, (features, label) in enumerate(rows):
             if label not in (0, 1):
                 raise ValueError(f"row {i}: label must be 0 or 1, got {label!r}")
@@ -150,9 +156,25 @@ class LabeledDataset:
             for name in FEATURE_NAMES:
                 index = 2 * index + getattr(features, name)
             counts[int(index)] += 1
+        self._init_counts(counts, provenance)
+
+    @classmethod
+    def from_counts(cls, counts: Sequence[int], provenance: Optional[str] = None) -> LabeledDataset:
+        """The dataset of a finished count table, cells indexed as in :data:`CELL_INDEX`."""
+        data = cls.__new__(cls)
+        data._init_counts(counts, provenance)
+        return data
+
+    def _init_counts(self, counts: Sequence[int], provenance: Optional[str]) -> None:
+        counts = tuple(counts)
+        if len(counts) != _CELLS:
+            raise ValueError(f"count table needs {_CELLS} cells, got {len(counts)}")
+        for index, count in enumerate(counts):
+            if isinstance(count, bool) or not isinstance(count, int) or count < 0:
+                raise ValueError(f"cell {index}: count must be a non-negative int, got {count!r}")
         if not any(counts):
             raise EmptyDataError("dataset is empty")
-        object.__setattr__(self, "counts", tuple(counts))
+        object.__setattr__(self, "counts", counts)
         object.__setattr__(self, "provenance", provenance)
 
     def __len__(self) -> int:

@@ -13,7 +13,7 @@ import logging
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 from .diagnostics import FitDiagnostics, diagnose_fit, wald_tests, WaldTest
 from .errors import (
@@ -22,6 +22,7 @@ from .errors import (
     EmptyFileError,
     MissingColumnError,
     NonBinaryCellError,
+    NotUtf8Error,
 )
 from .features import (
     FeatureVector,
@@ -31,6 +32,7 @@ from .features import (
     extract_features,
 )
 from .model import (
+    CELL_INDEX,
     FEATURE_SUBSETS,
     FitOptions,
     FitResult,
@@ -60,6 +62,7 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 DATASET_COLUMNS = VARIABLES
+_SPELLING_WIDTH = len(DATASET_COLUMNS)   # the cells before the optional url column
 _BATCH_WORKERS = 8
 
 
@@ -160,38 +163,60 @@ def score_many(requests: Sequence[ScoreRequest], model: LogitModel, db: KnownDom
 def load_dataset(path: str | Path) -> LabeledDataset:
     """Read the labeled CSV (header: label,padlock,contact,telephone,about,terms[,url]).
 
-    The ``url`` column is validated as a column but its values are not kept.
+    The file is UTF-8, with or without a byte-order mark.  Rows are counted
+    straight into the 64-cell table; the ``url`` column is validated as a
+    column but its values are neither checked nor kept.
     """
     path = Path(path)
-    with path.open(encoding="utf-8", newline="") as handle:
+    with path.open(encoding="utf-8-sig", newline="") as handle:
         reader = csv.reader(handle)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise EmptyFileError(f"{path}: file is empty") from None
-        header = [cell.strip() for cell in header]
-        _validate_header(header, path)
-        try:
-            return LabeledDataset(_read_rows(reader, len(header), path), provenance=str(path))
-        except EmptyDataError:
-            raise EmptyFileError(f"{path}: no data rows") from None
+            header = next(reader, None)
+            if header is None:
+                raise EmptyFileError(f"{path}: file is empty")
+            header = [cell.strip() for cell in header]
+            _validate_header(header, path)
+            counts = _count_rows(reader, len(header), path)
+        except UnicodeDecodeError as exc:
+            raise NotUtf8Error(
+                f"{path}: not UTF-8 text (byte 0x{exc.object[exc.start]:02x}: {exc.reason})") from None
+    try:
+        return LabeledDataset.from_counts(counts, provenance=str(path))
+    except EmptyDataError:
+        raise EmptyFileError(f"{path}: no data rows") from None
 
 
-def _read_rows(reader, width: int, path: Path) -> Iterator[tuple[FeatureVector, int]]:
-    """Validated (features, label) pairs of the CSV body, one at a time."""
+def _count_rows(reader, width: int, path: Path) -> list[int]:
+    """The CSV body's 64-cell count table.
+
+    A row spelled exactly as one of the cells is counted by one lookup;
+    any other row goes through :func:`_checked_cell`.
+    """
+    counts = [0] * len(CELL_INDEX)
+    lookup = CELL_INDEX.get
     for line_no, row in enumerate(reader, start=2):
-        if not row or all(not cell.strip() for cell in row):
-            continue
-        if len(row) != width:
+        cell = lookup(tuple(row[:_SPELLING_WIDTH])) if len(row) == width else None
+        if cell is None:
+            cell = _checked_cell(row, width, path, line_no)
+            if cell is None:
+                continue
+        counts[cell] += 1
+    return counts
+
+
+def _checked_cell(row: list[str], width: int, path: Path, line_no: int) -> Optional[int]:
+    """Cell index of a row after stripping its cells; None for a blank row."""
+    if not row or all(not cell.strip() for cell in row):
+        return None
+    if len(row) != width:
+        raise NonBinaryCellError(
+            f"{path}:{line_no}: expected {width} cells, found {len(row)}")
+    cells = tuple(cell.strip() for cell in row[:_SPELLING_WIDTH])
+    for name, cell in zip(DATASET_COLUMNS, cells):
+        if cell not in ("0", "1"):
             raise NonBinaryCellError(
-                f"{path}:{line_no}: expected {width} cells, found {len(row)}")
-        cells = [cell.strip() for cell in row[:len(DATASET_COLUMNS)]]
-        for name, cell in zip(DATASET_COLUMNS, cells):
-            if cell not in ("0", "1"):
-                raise NonBinaryCellError(
-                    f"{path}:{line_no}: column {name!r} has non-binary value {cell!r}")
-        label, *bits = map(int, cells)
-        yield FeatureVector(**dict(zip(DATASET_COLUMNS[1:], bits))), label
+                f"{path}:{line_no}: column {name!r} has non-binary value {cell!r}")
+    return CELL_INDEX[cells]
 
 
 def _validate_header(header: list[str], path: Path) -> None:

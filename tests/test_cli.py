@@ -1,10 +1,15 @@
 """Command-line behavior: outputs, exit codes, JSON mode, offline guarantee."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sourcescope
 from sourcescope.cli import main
 from sourcescope.features import get_fetch_counters, reset_fetch_counters
 from tests.synth import balanced_dataset, write_csv
@@ -79,6 +84,15 @@ class TestScoreCommand:
         assert len(payload) == 2
         assert payload[0]["url"] == "https://en-full.test"
         assert payload[1]["path"] == "mimicry-screen"
+
+    def test_malformed_link_does_not_stop_scoring(self, capsys, offline):
+        # the page's one unparseable link is skipped; the rest still set every bit
+        code, out, err = run_cli(capsys, "score", "https://malformed-link.test",
+                                 "--output-mode", "json", *offline)
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        assert payload["verdict"] == "share"
+        assert set(payload["features"].values()) == {1}
 
     def test_no_sockets_opened_offline(self, capsys, offline):
         reset_fetch_counters()
@@ -230,6 +244,15 @@ class TestAnalyzeCommand:
         code, _, err = run_cli(capsys, "analyze", str(path))
         assert code == 5
         assert "padlock" in err
+
+
+def test_python_dash_m_runs_the_cli(dataset_csv):
+    env = {**os.environ, "PYTHONPATH": str(Path(sourcescope.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-m", "sourcescope", "analyze", str(dataset_csv),
+                           "--output-mode", "json"],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert len(json.loads(done.stdout)["chi_square"]) == 5
 
 
 class TestConfigHandling:

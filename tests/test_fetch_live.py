@@ -36,6 +36,11 @@ INTL = """<!DOCTYPE html><html><body>
 <a href="/contact us.html">Contact</a>
 </body></html>"""
 
+BADLINK = """<!DOCTYPE html><html><body>
+<a href="http://[oops/contact">Contact</a>
+<a href="/about.html">About us</a>
+</body></html>"""
+
 TLS = Path(__file__).parent / "fixtures" / "tls"   # self-signed for IP 127.0.0.1
 
 
@@ -107,6 +112,8 @@ class Handler(BaseHTTPRequestHandler):
             self.end_headers()
         elif self.path == "/intl":
             self._send_html(INTL)
+        elif self.path == "/badlink":
+            self._send_html(BADLINK)
         elif self.path in ("/%C3%BCber-uns", "/contact%20us.html"):
             self._send_html(ABOUT)
         elif self.path == "/missing":
@@ -228,6 +235,10 @@ class TestLiveFetch:
     def test_redirect_to_non_ascii_path(self, server):
         snap = fetch_site(f"{server}/moved-intl", FetchPolicy(timeout=5))
         assert snap.final_url == f"{server}/über-uns"
+
+    def test_unparseable_link_is_skipped(self, server):
+        snap = fetch_site(f"{server}/badlink", FetchPolicy(timeout=5))
+        assert [url for url, _ in snap.pages] == [f"{server}/badlink", f"{server}/about.html"]
 
     def test_certificate_fallback(self, tls_server, caplog):
         with caplog.at_level(logging.WARNING, logger="sourcescope.features.snapshot"):

@@ -1,5 +1,7 @@
 """End-to-end scoring flow, CSV ingestion, training and analysis runs."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from sourcescope.errors import (
     EmptyFileError,
     MissingColumnError,
     NonBinaryCellError,
+    NotUtf8Error,
     ZeroMarginError,
 )
 from sourcescope.features import (
@@ -169,6 +172,20 @@ class TestLoadDataset:
         path = tmp_path / "data.csv"
         path.write_text("", encoding="utf-8")
         with pytest.raises(EmptyFileError):
+            load_dataset(path)
+
+    def test_byte_order_mark(self, tmp_path):
+        # Excel's "CSV UTF-8" export leads with a BOM
+        path = tmp_path / "data.csv"
+        path.write_bytes(b"\xef\xbb\xbflabel,padlock,contact,telephone,about,terms\r\n"
+                         b"1,0,0,0,0,0\r\n0,1,1,1,1,1\r\n")
+        assert load_dataset(path).class_counts() == (1, 1)
+
+    def test_not_utf8_names_the_file(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_bytes(b"label,padlock,contact,telephone,about,terms,url\n"
+                         b"1,0,0,0,0,0,http://caf\xe9.test\n")
+        with pytest.raises(NotUtf8Error, match=rf"^{re.escape(str(path))}: not UTF-8 .*0xe9"):
             load_dataset(path)
 
     def test_header_only(self, tmp_path):
