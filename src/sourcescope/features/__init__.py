@@ -4,8 +4,6 @@ from .detectors import (
     FEATURE_NAMES,
     FeatureVector,
     detect_padlock,
-    detect_section,
-    detect_telephone,
     extract_features,
     features_from_snapshot,
 )
@@ -24,8 +22,6 @@ __all__ = [
     "FEATURE_NAMES",
     "FeatureVector",
     "detect_padlock",
-    "detect_section",
-    "detect_telephone",
     "extract_features",
     "features_from_snapshot",
     "PageText",

@@ -12,7 +12,7 @@ from typing import Optional
 from urllib.parse import urlsplit
 
 from ..errors import MissingFeatureError
-from .html_text import PageText, normalize_text, parse_page
+from .html_text import PageText, normalize_text
 from .lexicon import SECTION_KINDS, KeywordLexicon, default_lexicon
 from .snapshot import FetchPolicy, SiteSnapshot, fetch_site
 
@@ -20,8 +20,6 @@ __all__ = [
     "FeatureVector",
     "FEATURE_NAMES",
     "detect_padlock",
-    "detect_section",
-    "detect_telephone",
     "extract_features",
 ]
 
@@ -89,17 +87,6 @@ def _shows_phrase(regions: str, phrases: tuple[str, ...]) -> bool:
     return any(phrase in regions for phrase in phrases)
 
 
-def detect_section(snapshot: SiteSnapshot, lexicon: KeywordLexicon, kind: str) -> int:
-    """1 iff any page shows a ``kind`` phrase in a link, heading or footer."""
-    if kind not in SECTION_KINDS:
-        raise ValueError(f"kind must be one of {SECTION_KINDS}, got {kind!r}")
-    phrases = lexicon.phrases_for(kind)
-    for _, html in snapshot.pages:
-        if _shows_phrase(_page_regions(parse_page(html)), phrases):
-            return 1
-    return 0
-
-
 def _digit_spans(text: str):
     """(start, end) spans of separator-tolerant digit runs of phone length."""
     for match in _DIGIT_RUN.finditer(text):
@@ -128,6 +115,8 @@ def _keyword_spans(text: str, pattern: re.Pattern):
 
 
 def _page_has_telephone(page: PageText, keyword_patterns: list[re.Pattern]) -> bool:
+    """Whether a phone-scheme link exists or a phone-length digit run sits
+    within 40 characters of a telephone/fax keyword."""
     for _, href in page.anchors:
         if href and href.strip().casefold().startswith(_PHONE_SCHEMES):
             return True
@@ -143,14 +132,6 @@ def _page_has_telephone(page: PageText, keyword_patterns: list[re.Pattern]) -> b
     return False
 
 
-def detect_telephone(snapshot: SiteSnapshot, lexicon: KeywordLexicon) -> int:
-    """1 iff a phone-scheme link exists or a phone-length digit run sits
-    within 40 characters of a telephone/fax keyword."""
-    patterns = _keyword_patterns(lexicon)
-    return int(any(_page_has_telephone(parse_page(html), patterns)
-                   for _, html in snapshot.pages))
-
-
 def extract_features(url: str, policy: FetchPolicy,
                      lexicon: Optional[KeywordLexicon] = None) -> FeatureVector:
     """Fetch a site and reduce it to the five binary predictors."""
@@ -161,19 +142,20 @@ def extract_features(url: str, policy: FetchPolicy,
 
 def features_from_snapshot(snapshot: SiteSnapshot, lexicon: Optional[KeywordLexicon] = None,
                            source_url: Optional[str] = None) -> FeatureVector:
-    """Apply all five detectors to an existing snapshot, parsing each page once."""
+    """Apply all five detectors to an existing snapshot, reading its pages
+    in order until every bit is set."""
     lexicon = lexicon or default_lexicon()
     unseen = {kind: lexicon.phrases_for(kind) for kind in SECTION_KINDS}
     patterns = _keyword_patterns(lexicon)
     telephone = False
-    for _, html in snapshot.pages:
-        page = parse_page(html)
+    for page in snapshot.pages:
+        text = page.text
         if unseen:
-            regions = _page_regions(page)
+            regions = _page_regions(text)
             for kind, phrases in list(unseen.items()):
                 if _shows_phrase(regions, phrases):
                     del unseen[kind]
-        telephone = telephone or _page_has_telephone(page, patterns)
+        telephone = telephone or _page_has_telephone(text, patterns)
         if telephone and not unseen:
             break
     return FeatureVector(

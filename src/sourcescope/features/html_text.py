@@ -9,7 +9,6 @@ simply end at document end.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from html.parser import HTMLParser
 
 __all__ = ["PageText", "parse_page", "normalize_text"]
@@ -121,7 +120,6 @@ class _Extractor(HTMLParser):
         self._anchor_parts = []
 
 
-@lru_cache(maxsize=32)
 def parse_page(html: str) -> PageText:
     """Extract the detector-relevant regions from one HTML document."""
     extractor = _Extractor()

@@ -8,10 +8,12 @@ a fixture directory and performs zero network operations.
 
 from __future__ import annotations
 
+import codecs
 import functools
 import http.client
 import json
 import logging
+import re
 import ssl
 import threading
 import urllib.request
@@ -28,13 +30,15 @@ from ..errors import (
     NetworkUnreachableError,
     NonHtmlContentError,
     TooManyRedirectsError,
+    UnparseableUrlError,
 )
 from ..screener import normalize_domain
-from .html_text import normalize_text, parse_page
+from .html_text import PageText, normalize_text, parse_page
 from .lexicon import KeywordLexicon, default_lexicon
 
 __all__ = [
     "FetchPolicy",
+    "Page",
     "SiteSnapshot",
     "FetchCounters",
     "fetch_site",
@@ -49,6 +53,10 @@ _HTML_TYPES = ("text/html", "application/xhtml+xml")
 _SECONDARY_WORKERS = 4
 # left as is in a path or query; spaces and non-ASCII go out as UTF-8 %XX
 _URL_SAFE = "!#$%&'()*+,/:;=?@[]~"
+_BOMS = ((codecs.BOM_UTF8, "utf-8"), (codecs.BOM_UTF16_BE, "utf-16-be"),
+         (codecs.BOM_UTF16_LE, "utf-16-le"))
+# <meta charset=x> and <meta http-equiv=... content="...; charset=x"> alike
+_META_CHARSET = re.compile(rb"<meta[^>]*?charset\s*=\s*[\"']?\s*([-\w.:]+)", re.IGNORECASE)
 
 
 @dataclass(frozen=True)
@@ -69,6 +77,15 @@ class FetchPolicy:
             object.__setattr__(self, "offline_root", Path(self.offline_root))
 
 
+class Page(tuple):
+    """One fetched page, read as ``(url, html)``; ``text`` is its parse,
+    made on first use and kept on the page, so no page is parsed twice."""
+
+    @functools.cached_property
+    def text(self) -> PageText:
+        return parse_page(self[1])
+
+
 @dataclass(frozen=True)
 class SiteSnapshot:
     """One fetched website: landing page first, candidate pages after."""
@@ -76,11 +93,13 @@ class SiteSnapshot:
     requested_url: str
     final_url: str
     final_scheme_secure: bool
-    pages: tuple[tuple[str, str], ...]   # (url, html)
+    pages: tuple[Page, ...]   # a plain (url, html) pair is wrapped in a Page
 
     def __post_init__(self):
         if not self.pages:
             raise ValueError("snapshot must contain at least the landing page")
+        object.__setattr__(self, "pages", tuple(
+            page if isinstance(page, Page) else Page(page) for page in self.pages))
         scheme = urlsplit(self.final_url).scheme
         if self.final_scheme_secure != (scheme == "https"):
             raise ValueError("final_scheme_secure contradicts the final URL scheme")
@@ -121,7 +140,7 @@ def _complete_url(url: str) -> str:
 
 def _looks_like_html(head: bytes) -> bool:
     sample = head[:512].lstrip().lower()
-    return sample.startswith(b"<!doctype") or b"<html" in sample or sample.startswith(b"<")
+    return b"<html" in sample or sample.startswith(b"<")
 
 
 # loading the CA store takes ~50 ms, so the verified context is built once;
@@ -200,24 +219,46 @@ def _get_html(url: str, policy: FetchPolicy) -> tuple[str, str]:
             raise BodyTooLargeError(current, f"body exceeds {policy.max_body_bytes} bytes")
         if not content_type and not _looks_like_html(body):
             raise NonHtmlContentError(current, "response does not look like HTML")
-        # RFC 2616's default, kept until the charset fix of ROADMAP item 4
-        encoding = charset or ("iso-8859-1" if content_type.startswith("text/") else "utf-8")
-        try:
-            return current, body.decode(encoding, errors="replace")
-        except LookupError:
-            return current, body.decode("utf-8", errors="replace")
+        return current, _decode(body, charset)
     raise TooManyRedirectsError(url, f"more than {policy.max_redirects} redirects")
 
 
-def _candidate_links(landing_url: str, html: str, lexicon: KeywordLexicon,
+def _decode(body: bytes, charset: Optional[str]) -> str:
+    """A page's text, in the WHATWG order of encoding sources.
+
+    A byte-order mark wins, then the HTTP ``charset``, then a ``<meta>``
+    declaration in the first 1,024 bytes; a label Python does not know
+    falls through to the next source.  Without any, the body is UTF-8 if
+    it decodes as such, and windows-1252 otherwise.
+    """
+    for bom, encoding in _BOMS:
+        if body.startswith(bom):
+            return body[len(bom):].decode(encoding, errors="replace")
+    meta = _META_CHARSET.search(body, 0, 1024)
+    declared = meta and meta.group(1).decode("ascii")
+    # a page that a byte scan could read was not UTF-16, whatever it says
+    if declared and declared.casefold().replace("-", "").startswith("utf16"):
+        declared = "utf-8"
+    for label in (charset, declared):
+        if label:
+            try:
+                return body.decode(label, errors="replace")
+            except LookupError:     # unknown, or not a text encoding
+                pass
+    try:
+        return body.decode("utf-8")
+    except UnicodeDecodeError:
+        return body.decode("windows-1252", errors="replace")
+
+
+def _candidate_links(landing_url: str, page: PageText, lexicon: KeywordLexicon,
                      limit: int) -> list[str]:
     """Same-domain links whose text or path matches any section phrase."""
     phrases = lexicon.all_section_phrases()
     try:
         site_domain = normalize_domain(landing_url)
-    except Exception:
+    except UnparseableUrlError:
         return []
-    page = parse_page(html)
     seen: dict[str, None] = {}
     for text, href in page.anchors:
         if not href or href.startswith(("#", "mailto:", "tel:", "fax:", "callto:", "javascript:")):
@@ -234,7 +275,7 @@ def _candidate_links(landing_url: str, html: str, lexicon: KeywordLexicon,
         try:
             if normalize_domain(resolved) != site_domain:
                 continue
-        except Exception:
+        except UnparseableUrlError:
             continue
         path = normalize_text(parts.path)
         if any(p in text or p in path for p in phrases):
@@ -245,10 +286,10 @@ def _candidate_links(landing_url: str, html: str, lexicon: KeywordLexicon,
 
 
 def _fetch_live(url: str, policy: FetchPolicy, lexicon: KeywordLexicon) -> SiteSnapshot:
-    final_url, landing_html = _get_html(_complete_url(url), policy)
-    pages = [(final_url, landing_html)]
-    candidates = _candidate_links(final_url, landing_html, lexicon,
-                                  policy.max_secondary_pages)
+    landing = Page(_get_html(_complete_url(url), policy))
+    final_url = landing[0]
+    pages = [landing]
+    candidates = _candidate_links(final_url, landing.text, lexicon, policy.max_secondary_pages)
 
     def fetch_one(link: str):
         try:
@@ -283,7 +324,7 @@ def _fixture_dir(root: Path, url: str) -> Path:
     candidates = []
     try:
         candidates.append(normalize_domain(url))
-    except Exception:
+    except UnparseableUrlError:
         pass
     host = urlsplit(_complete_url(url)).hostname
     if host:

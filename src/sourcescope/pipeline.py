@@ -194,10 +194,10 @@ def _count_rows(reader, width: int, path: Path) -> list[int]:
     """
     counts = [0] * len(CELL_INDEX)
     lookup = CELL_INDEX.get
-    for line_no, row in enumerate(reader, start=2):
+    for row in reader:
         cell = lookup(tuple(row[:_SPELLING_WIDTH])) if len(row) == width else None
         if cell is None:
-            cell = _checked_cell(row, width, path, line_no)
+            cell = _checked_cell(row, width, path, reader.line_num)
             if cell is None:
                 continue
         counts[cell] += 1

@@ -329,25 +329,21 @@ def mimicry_check(domain: str, db: KnownDomainDB) -> MimicryVerdict:
     return MimicryVerdict("Mimic", matched_target=best[1], reason=best[2])
 
 
+def _domain_list(text: str, source: str, version: str) -> KnownDomainDB:
+    """A domain list's database: one domain per line, ``#`` comments allowed."""
+    entries = tuple(entry for line in text.splitlines()
+                    if (entry := line.split("#", 1)[0].strip()))
+    if not entries:
+        raise EmptyDatabaseError(f"no domains in {source}")
+    return KnownDomainDB(entries, version=version)
+
+
 def load_known_domains(path: str | Path, version: Optional[str] = None) -> KnownDomainDB:
     """Load a domain list: one domain per line, ``#`` comments allowed."""
-    text = Path(path).read_text(encoding="utf-8")
-    entries = []
-    for line in text.splitlines():
-        line = line.split("#", 1)[0].strip()
-        if line:
-            entries.append(line)
-    if not entries:
-        raise EmptyDatabaseError(f"no domains in {path}")
-    return KnownDomainDB(tuple(entries), version=version or str(path))
+    return _domain_list(Path(path).read_text(encoding="utf-8"), str(path), version or str(path))
 
 
 def default_known_domains() -> KnownDomainDB:
     """The packaged seed list of established outlets."""
     text = resources.files("sourcescope.data").joinpath("known_domains.txt").read_text("utf-8")
-    entries = tuple(
-        line.split("#", 1)[0].strip()
-        for line in text.splitlines()
-        if line.split("#", 1)[0].strip()
-    )
-    return KnownDomainDB(entries, version="builtin")
+    return _domain_list(text, "the builtin list", "builtin")

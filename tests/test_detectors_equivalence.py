@@ -1,11 +1,11 @@
 """The one-pass detectors against the per-detector loops they replaced.
 
 The reference below is the earlier ``detect_section`` / ``detect_telephone``
-code, kept verbatim apart from names and the skip of a link that
-``urlsplit`` cannot parse: each section kind rebuilt every page's regions
-and tested each phrase against each region, and each telephone keyword was
-searched with a lookbehind-led pattern.  The current detectors must give
-the same bits.
+code, since deleted, kept verbatim apart from names and the skip of a link
+that ``urlsplit`` cannot parse: each section kind rebuilt every page's
+regions and tested each phrase against each region, and each telephone
+keyword was searched with a lookbehind-led pattern.  The current detectors
+must give the same bits.
 """
 
 import re
@@ -20,8 +20,6 @@ from sourcescope.features import (
     KeywordLexicon,
     default_lexicon,
     detect_padlock,
-    detect_section,
-    detect_telephone,
     features_from_snapshot,
     normalize_text,
     parse_page,
@@ -154,10 +152,6 @@ _page = st.builds(lambda parts: "<html><body>" + "".join(parts) + "</body></html
 
 
 def assert_same(snapshot, lexicon):
-    for kind in SECTION_KINDS:
-        assert (detect_section(snapshot, lexicon, kind)
-                == reference_detect_section(snapshot, lexicon, kind))
-    assert detect_telephone(snapshot, lexicon) == reference_detect_telephone(snapshot, lexicon)
     assert (features_from_snapshot(snapshot, lexicon).as_dict()
             == reference_features(snapshot, lexicon))
 
@@ -188,7 +182,7 @@ def body(*parts: str) -> str:
 def test_keyword_boundaries_and_window(lexicon, text, expected):
     snapshot = make_snapshot(body(f"<p>{text}</p>"))
     assert_same(snapshot, LEXICONS[lexicon])
-    assert detect_telephone(snapshot, LEXICONS[lexicon]) == expected
+    assert features_from_snapshot(snapshot, LEXICONS[lexicon]).telephone == expected
 
 
 def test_phrase_split_across_anchors_does_not_match():

@@ -14,8 +14,6 @@ from sourcescope.features import (
     SiteSnapshot,
     default_lexicon,
     detect_padlock,
-    detect_section,
-    detect_telephone,
     extract_features,
     fetch_site,
     features_from_snapshot,
@@ -58,6 +56,14 @@ class TestPolicyAndSnapshot:
             SiteSnapshot("http://a.test", "http://a.test", True,
                          (("http://a.test", "<html></html>"),))
 
+    def test_pages_read_as_pairs_and_keep_their_parse(self):
+        snap = SiteSnapshot("http://a.test", "http://a.test", False,
+                            (("http://a.test", page("<h2>About us</h2>")),))
+        (url, html), = snap.pages
+        assert (url, html) == ("http://a.test", page("<h2>About us</h2>"))
+        assert snap.pages[0].text is snap.pages[0].text
+        assert snap.pages[0].text.headings == ("about us",)
+
 
 class TestHtmlRegions:
     def test_anchor_heading_footer_extraction(self):
@@ -99,88 +105,84 @@ class TestDetectPadlock:
 class TestDetectSection:
     def test_anchor_match(self):
         snap = make_snapshot(page('<a href="/c">Contact us</a>'))
-        assert detect_section(snap, LEX, "contact") == 1
+        assert features_from_snapshot(snap, LEX).get("contact") == 1
 
     def test_footer_synonym_match(self):
         snap = make_snapshot(page("<footer>Legal notes</footer>"))
-        assert detect_section(snap, LEX, "terms") == 1
+        assert features_from_snapshot(snap, LEX).get("terms") == 1
 
     def test_heading_match(self):
         snap = make_snapshot(page("<h3>Who we are</h3>"))
-        assert detect_section(snap, LEX, "about") == 1
+        assert features_from_snapshot(snap, LEX).get("about") == 1
 
     def test_link_path_match(self):
         snap = make_snapshot(page('<a href="/terms">fine print</a>'))
-        assert detect_section(snap, LEX, "terms") == 1
+        assert features_from_snapshot(snap, LEX).get("terms") == 1
 
     def test_empty_page(self):
         snap = make_snapshot(page(""))
         for kind in ("contact", "about", "terms"):
-            assert detect_section(snap, LEX, kind) == 0
+            assert features_from_snapshot(snap, LEX).get(kind) == 0
 
     def test_body_text_alone_does_not_count(self):
         # phrases must appear in links, headings or footers, not prose
         snap = make_snapshot(page("<p>please contact us tomorrow</p>"))
-        assert detect_section(snap, LEX, "contact") == 0
+        assert features_from_snapshot(snap, LEX).get("contact") == 0
 
     def test_case_and_whitespace_folding(self):
         snap = make_snapshot(page('<a href="/x">COnTaCt&nbsp;&nbsp;US</a>'))
-        assert detect_section(snap, LEX, "contact") == 1
+        assert features_from_snapshot(snap, LEX).get("contact") == 1
 
     def test_unicode_casefold(self):
         snap = make_snapshot(page('<a href="/u">ÜBER UNS</a>'))
-        assert detect_section(snap, LEX, "about") == 1
+        assert features_from_snapshot(snap, LEX).get("about") == 1
 
     def test_language_neutrality(self):
         for body, kind in ((' <a href="/k">Kontakt</a>', "contact"),
                            ("<h4>Chi siamo</h4>", "about"),
                            ("<footer>mentions légales</footer>", "terms")):
-            assert detect_section(make_snapshot(page(body)), LEX, kind) == 1
-
-    def test_invalid_kind(self):
-        with pytest.raises(ValueError):
-            detect_section(make_snapshot(page("")), LEX, "masthead")
+            assert features_from_snapshot(make_snapshot(page(body)), LEX).get(kind) == 1
 
 
 class TestDetectTelephone:
     def test_phone_scheme_link(self):
         snap = make_snapshot(page('<a href="tel:+15551234567">call</a>'))
-        assert detect_telephone(snap, LEX) == 1
+        assert features_from_snapshot(snap, LEX).telephone == 1
 
     def test_fax_keyword_with_number(self):
         snap = make_snapshot(page("<p>Fax: (02) 1234-5678</p>"))
-        assert detect_telephone(snap, LEX) == 1
+        assert features_from_snapshot(snap, LEX).telephone == 1
 
     def test_year_alone_is_not_a_phone(self):
         snap = make_snapshot(page("<p>established in 1987</p>"))
-        assert detect_telephone(snap, LEX) == 0
+        assert features_from_snapshot(snap, LEX).telephone == 0
 
     def test_keyword_required_near_number(self):
         snap = make_snapshot(page("<p>lot number 55511223344 sold</p>"))
-        assert detect_telephone(snap, LEX) == 0
+        assert features_from_snapshot(snap, LEX).telephone == 0
 
     def test_number_required_near_keyword(self):
         snap = make_snapshot(page("<p>phone lines are busy</p>"))
-        assert detect_telephone(snap, LEX) == 0
+        assert features_from_snapshot(snap, LEX).telephone == 0
 
     def test_proximity_window(self):
         filler = "x" * 60
         snap = make_snapshot(page(f"<p>phone {filler} 5551234567</p>"))
-        assert detect_telephone(snap, LEX) == 0
+        assert features_from_snapshot(snap, LEX).telephone == 0
         snap_close = make_snapshot(page("<p>phone: 5551234567</p>"))
-        assert detect_telephone(snap_close, LEX) == 1
+        assert features_from_snapshot(snap_close, LEX).telephone == 1
 
     def test_keyword_is_word_bounded(self):
         snap = make_snapshot(page("<p>hotel room 5551234567</p>"))
-        assert detect_telephone(snap, LEX) == 0
+        assert features_from_snapshot(snap, LEX).telephone == 0
 
     def test_too_many_digits_rejected(self):
         snap = make_snapshot(page("<p>tel 12345678901234567890</p>"))
-        assert detect_telephone(snap, LEX) == 0
+        assert features_from_snapshot(snap, LEX).telephone == 0
 
     def test_international_format(self):
         snap = make_snapshot(page("<p>Telefono: +39 06 1234 5678</p>"))
-        assert detect_telephone(snap, LEX) == 1
+        assert features_from_snapshot(snap, LEX).telephone == 1
 
 
 class TestComposition:

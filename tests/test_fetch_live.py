@@ -1,5 +1,6 @@
 """Live HTTP path exercised against a local loopback server."""
 
+import codecs
 import logging
 import os
 import socket
@@ -20,7 +21,8 @@ from sourcescope.errors import (
     NonHtmlContentError,
     TooManyRedirectsError,
 )
-from sourcescope.features import FetchPolicy, default_lexicon, fetch_site
+from sourcescope.features import FetchPolicy, default_lexicon, extract_features, fetch_site
+from sourcescope.features import html_text
 
 LANDING = """<!DOCTYPE html><html><head><title>live</title></head><body>
 <a href="/contact.html">Contact us</a>
@@ -41,6 +43,23 @@ BADLINK = """<!DOCTYPE html><html><body>
 <a href="/about.html">About us</a>
 </body></html>"""
 
+# pages served as bare text/html: (body, what it must decode to)
+UNDECLARED = {
+    "/utf8-bare": ("<html><body><footer>Mentions légales</footer></body></html>".encode("utf-8"),
+                   "Mentions légales"),
+    "/meta-1252": (b'<html><head><meta charset="windows-1252"></head>'
+                   b"<body>caf\xe9 \x93quoted\x94</body></html>", "café “quoted”"),
+    "/meta-latin9": (b'<html><head><meta http-equiv="Content-Type" '
+                     b'content="text/html; charset=ISO-8859-15"></head>'
+                     b"<body>5 \xa4</body></html>", "5 €"),
+    "/meta-utf16": ('<html><head><meta charset="utf-16"></head><body>café</body></html>'
+                    .encode("utf-8"), "café"),
+    "/meta-unknown": ('<html><head><meta charset="x-no-such"></head><body>café</body></html>'
+                      .encode("utf-8"), "café"),
+    "/bom-utf16": (codecs.BOM_UTF16_LE + "<html><body>café</body></html>".encode("utf-16-le"),
+                   "café"),
+}
+
 TLS = Path(__file__).parent / "fixtures" / "tls"   # self-signed for IP 127.0.0.1
 
 
@@ -49,7 +68,9 @@ class Handler(BaseHTTPRequestHandler):
         pass
 
     def _send_html(self, body: str, content_type="text/html; charset=utf-8"):
-        payload = body.encode("utf-8")
+        self._send_bytes(body.encode("utf-8"), content_type)
+
+    def _send_bytes(self, payload: bytes, content_type: str):
         self.send_response(200)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(payload)))
@@ -99,12 +120,9 @@ class Handler(BaseHTTPRequestHandler):
             self.send_header("Location", "ftp://127.0.0.1/index.html")
             self.end_headers()
         elif self.path == "/cp1252":
-            payload = b"<html><p>caf\xe9</p></html>"
-            self.send_response(200)
-            self.send_header("Content-Type", "text/html; charset=windows-1252")
-            self.send_header("Content-Length", str(len(payload)))
-            self.end_headers()
-            self.wfile.write(payload)
+            self._send_bytes(b"<html><p>caf\xe9</p></html>", "text/html; charset=windows-1252")
+        elif self.path in UNDECLARED:
+            self._send_bytes(UNDECLARED[self.path][0], "text/html")
         elif self.path == "/moved-intl":
             self.send_response(301)
             # the raw UTF-8 bytes of /über-uns, as servers commonly send them
@@ -227,6 +245,15 @@ class TestLiveFetch:
         snap = fetch_site(f"{server}/cp1252", FetchPolicy(timeout=5))
         assert "café" in snap.pages[0][1]
 
+    @pytest.mark.parametrize("path", sorted(UNDECLARED))
+    def test_undeclared_charset_is_sniffed(self, server, path):
+        snap = fetch_site(f"{server}{path}", FetchPolicy(timeout=5))
+        assert UNDECLARED[path][1] in snap.pages[0][1]
+
+    def test_utf8_under_bare_text_html_sets_terms(self, server):
+        features = extract_features(f"{server}/utf8-bare", FetchPolicy(timeout=5))
+        assert features.terms == 1
+
     def test_link_targets_with_spaces_and_non_ascii(self, server):
         snap = fetch_site(f"{server}/intl", FetchPolicy(timeout=5))
         urls = [url for url, _ in snap.pages]
@@ -249,6 +276,29 @@ class TestLiveFetch:
         assert f"{tls_server}/about.html" in urls
         assert len(urls) == 3
         assert "certificate verification failed" in caplog.text
+
+
+def test_each_page_is_parsed_once(server, fixture_sites, monkeypatch):
+    fed = []
+
+    class CountingExtractor(html_text._Extractor):
+        def feed(self, data):
+            fed.append(data)
+            super().feed(data)
+
+    monkeypatch.setattr(html_text, "_Extractor", CountingExtractor)
+    extract_features(f"{server}/", FetchPolicy(timeout=5))
+    # the landing page's parse also picks the candidate pages; the about page
+    # is fetched but never parsed, as every bit is set before it is reached
+    assert [fed.count(html) for html in (LANDING, CONTACT, ABOUT)] == [1, 1, 0]
+    assert len(fed) == 2
+
+    fed.clear()
+    site = fixture_sites / "secondary-contact.test"
+    extract_features("http://secondary-contact.test", FetchPolicy(offline_root=fixture_sites))
+    pages = [(site / name).read_text(encoding="utf-8") for name in ("index.html", "contact.html")]
+    assert [fed.count(html) for html in pages] == [1, 1]
+    assert len(fed) == 2
 
 
 def test_import_loads_no_third_party_http_client():

@@ -1,10 +1,12 @@
 """Count-table CSV ingest against the per-row path it replaced.
 
 The reference below is the earlier ``load_dataset`` / ``_read_rows`` code,
-kept verbatim apart from names: it built and checked one ``FeatureVector``
-per row and let ``LabeledDataset(rows)`` fold each into its cell.  The
-current ``load_dataset`` must give the same counts, or raise the same
-error type with the same ``path:line:`` message.
+kept verbatim apart from names and from its line numbers, which now count
+physical lines (``reader.line_num``) as ``load_dataset``'s do, not CSV
+records: it built and checked one ``FeatureVector`` per row and let
+``LabeledDataset(rows)`` fold each into its cell.  The current
+``load_dataset`` must give the same counts, or raise the same error type
+with the same ``path:line:`` message.
 """
 
 import csv
@@ -44,7 +46,8 @@ def reference_load_dataset(path: str | Path) -> LabeledDataset:
 
 def _reference_read_rows(reader, width: int, path: Path) -> Iterator[tuple[FeatureVector, int]]:
     """Validated (features, label) pairs of the CSV body, one at a time."""
-    for line_no, row in enumerate(reader, start=2):
+    for row in reader:
+        line_no = reader.line_num
         if not row or all(not cell.strip() for cell in row):
             continue
         if len(row) != width:

@@ -146,6 +146,14 @@ class TestLoadDataset:
         with pytest.raises(NonBinaryCellError, match=r":4: column 'telephone'"):
             load_dataset(path)
 
+    def test_error_names_the_physical_line_after_a_quoted_line_break(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text(
+            "label,padlock,contact,telephone,about,terms\n"
+            '"1\n",0,0,0,0,0\n1,0,0,x,0,0\n', encoding="utf-8")
+        with pytest.raises(NonBinaryCellError, match=r":4: column 'telephone'"):
+            load_dataset(path)
+
     def test_non_binary_cell_names_location(self, tmp_path):
         path = tmp_path / "data.csv"
         path.write_text(
