@@ -12,7 +12,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 from typing import Optional
@@ -21,19 +20,13 @@ from . import __version__
 from .diagnostics import FitDiagnostics
 from .errors import (
     ConvergenceError,
-    DatasetError,
     DomainError,
     EmptyDataError,
-    EmptyDatabaseError,
-    FetchError,
-    LexiconError,
-    ModelDocumentError,
     SeparationError,
     SingleClassDataError,
     SingularDesignError,
     SourceScopeError,
     UnknownVariableError,
-    UnparseableUrlError,
     ZeroMarginError,
 )
 from .features import (
@@ -44,7 +37,7 @@ from .features import (
     extract_features,
     load_lexicon,
 )
-from .model import MODEL_II, LogitModel, load_model_file
+from .model import MODEL_II, load_model_file
 from .pipeline import (
     AnalysisReport,
     ScoreRequest,
@@ -64,86 +57,49 @@ EXIT_ESTIMATION = 5
 _ESTIMATION_ERRORS = (SingularDesignError, SeparationError, ConvergenceError,
                       ZeroMarginError, SingleClassDataError, DomainError,
                       EmptyDataError, UnknownVariableError)
-_OPERATIONAL_ERRORS = (FetchError, UnparseableUrlError, LexiconError,
-                       ModelDocumentError, DatasetError, EmptyDatabaseError,
-                       OSError, ValueError)
 
 
-@dataclass
-class CliConfig:
-    model: LogitModel
-    lexicon: KeywordLexicon
-    known_domains: KnownDomainDB
-    threshold: float
-    output_mode: str
-    policy: FetchPolicy
-    report_json: Optional[Path]
-    alpha: float = 0.0001
-    yates: bool = False
+# --------------------------------------------------------------------------
+# loaders: each builds one input from the flags that name it
+# --------------------------------------------------------------------------
 
-
-def _default_fixture_root() -> Path:
-    return Path(str(resources.files("sourcescope.data").joinpath("fixtures")))
-
-
-def _build_config(args: argparse.Namespace) -> CliConfig:
-    if not 0.0 <= args.threshold <= 1.0:
-        raise ValueError(f"--threshold must lie in [0, 1], got {args.threshold}")
-    if args.timeout <= 0:
-        raise ValueError("--timeout must be positive")
-
-    model = MODEL_II
-    if args.model:
-        if not Path(args.model).is_file():
-            raise ModelDocumentError(f"model file not found: {args.model}")
-        model = load_model_file(args.model)
-
-    lexicon = default_lexicon()
-    if args.lexicon:
-        if not Path(args.lexicon).is_file():
-            raise LexiconError(f"lexicon file not found: {args.lexicon}")
-        lexicon = load_lexicon(args.lexicon)
-
-    known = default_known_domains()
-    if args.known_domains:
-        if not Path(args.known_domains).is_file():
-            raise EmptyDatabaseError(f"known-domains file not found: {args.known_domains}")
-        known = load_known_domains(args.known_domains)
-
+def _policy(args: argparse.Namespace) -> FetchPolicy:
+    """``--timeout`` and ``--offline-root``; ``SOURCESCOPE_OFFLINE=1`` stands
+    for the demo fixtures shipped in the package."""
     offline_root = args.offline_root
     if offline_root is None and os.environ.get("SOURCESCOPE_OFFLINE") == "1":
-        offline_root = _default_fixture_root()
+        offline_root = Path(str(resources.files("sourcescope.data").joinpath("fixtures")))
     if offline_root is not None and not Path(offline_root).is_dir():
         raise FileNotFoundError(f"offline root not found: {offline_root}")
+    return FetchPolicy(timeout=args.timeout, offline_root=offline_root)
 
-    policy = FetchPolicy(timeout=args.timeout, offline_root=offline_root)
-    report_json = Path(args.report_json) if getattr(args, "report_json", None) else None
-    return CliConfig(
-        model=model,
-        lexicon=lexicon,
-        known_domains=known,
-        threshold=args.threshold,
-        output_mode=args.output_mode,
-        policy=policy,
-        report_json=report_json,
-        alpha=getattr(args, "alpha", 0.0001),
-        yates=getattr(args, "yates", False),
-    )
+
+def _lexicon(args: argparse.Namespace) -> KeywordLexicon:
+    return load_lexicon(args.lexicon) if args.lexicon else default_lexicon()
+
+
+def _known_domains(args: argparse.Namespace) -> KnownDomainDB:
+    return load_known_domains(args.known_domains) if args.known_domains else default_known_domains()
 
 
 # --------------------------------------------------------------------------
 # output helpers
 # --------------------------------------------------------------------------
 
-def _emit_json(payload) -> None:
-    json.dump(payload, sys.stdout, indent=2, ensure_ascii=False)
-    sys.stdout.write("\n")
+def _json_text(payload) -> str:
+    return json.dumps(payload, indent=2, ensure_ascii=False) + "\n"
 
 
-def _write_report_json(config: CliConfig, payload) -> None:
-    if config.report_json:
-        config.report_json.write_text(
-            json.dumps(payload, indent=2, ensure_ascii=False) + "\n", encoding="utf-8")
+def _emit(args: argparse.Namespace, payload, lines) -> None:
+    """Write ``payload`` as one JSON document in json mode, else ``lines``;
+    then write ``payload`` to ``--report-json`` if it is given."""
+    if args.output_mode == "json":
+        sys.stdout.write(_json_text(payload))
+    else:
+        for line in lines:
+            print(line)
+    if args.report_json:
+        Path(args.report_json).write_text(_json_text(payload), encoding="utf-8")
 
 
 def _format_p(p: float) -> str:
@@ -188,16 +144,13 @@ def _report_line(report, url: str, with_url: bool) -> str:
 
 
 def _cmd_score(args: argparse.Namespace) -> int:
-    config = _build_config(args)
+    model = load_model_file(args.model) if args.model else MODEL_II
+    known_domains, lexicon, policy = _known_domains(args), _lexicon(args), _policy(args)
     if not args.batch:
-        request = ScoreRequest(url=args.url, threshold=config.threshold, policy=config.policy)
-        report = score_url(request, config.model, config.known_domains, config.lexicon)
-        payload = dict(url=args.url, **_report_payload(report))
-        if config.output_mode == "json":
-            _emit_json(payload)
-        else:
-            print(_report_line(report, args.url, with_url=False))
-        _write_report_json(config, payload)
+        report = score_url(ScoreRequest(url=args.url, threshold=args.threshold, policy=policy),
+                           model, known_domains, lexicon)
+        _emit(args, dict(url=args.url, **_report_payload(report)),
+              [_report_line(report, args.url, with_url=False)])
         return EXIT_WITHHOLD if report.verdict == "withhold" else EXIT_SHARE
 
     urls = [line.split("#", 1)[0].strip()
@@ -205,60 +158,49 @@ def _cmd_score(args: argparse.Namespace) -> int:
     urls = [u for u in urls if u]
     if not urls:
         raise EmptyDataError(f"no URLs in {args.batch}")
-    requests = [ScoreRequest(url=u, threshold=config.threshold, policy=config.policy)
-                for u in urls]
-    outcomes = score_many(requests, config.model, config.known_domains, config.lexicon)
+    requests = [ScoreRequest(url=u, threshold=args.threshold, policy=policy) for u in urls]
+    outcomes = score_many(requests, model, known_domains, lexicon)
 
     worst = EXIT_SHARE
-    payloads = []
+    payloads, lines = [], []
     for request, report, error in outcomes:
         if error is not None:
             worst = max(worst, EXIT_OPERATIONAL)
             payloads.append({"url": request.url, "error": str(error)})
-            if config.output_mode != "json":
+            if args.output_mode != "json":
                 print(f"error: {request.url}: {error}", file=sys.stderr)
             continue
         if report.verdict == "withhold":
             worst = max(worst, EXIT_WITHHOLD)
         payloads.append(dict(url=request.url, **_report_payload(report)))
-        if config.output_mode != "json":
-            print(_report_line(report, request.url, with_url=True))
-    if config.output_mode == "json":
-        _emit_json(payloads)
-    _write_report_json(config, payloads)
+        lines.append(_report_line(report, request.url, with_url=True))
+    _emit(args, payloads, lines)
     return worst
 
 
 def _cmd_extract(args: argparse.Namespace) -> int:
-    config = _build_config(args)
-    features = extract_features(args.url, config.policy, config.lexicon)
-    if config.output_mode == "json":
-        _emit_json(features.as_dict())
-    else:
-        print(_features_line(features))
-    _write_report_json(config, features.as_dict())
+    features = extract_features(args.url, _policy(args), _lexicon(args))
+    _emit(args, features.as_dict(), [_features_line(features)])
     return EXIT_SHARE
 
 
 def _cmd_screen(args: argparse.Namespace) -> int:
-    config = _build_config(args)
+    known_domains = _known_domains(args)
     domain = normalize_domain(args.url)
-    verdict = mimicry_check(domain, config.known_domains)
+    verdict = mimicry_check(domain, known_domains)
     payload = {
         "domain": domain,
         "outcome": verdict.outcome,
         "matched_target": verdict.matched_target,
         "reason": verdict.reason,
     }
-    _write_report_json(config, payload)
-    if config.output_mode == "json":
-        _emit_json(payload)
-    elif verdict.outcome == "Mimic":
-        print(f"MIMIC of {verdict.matched_target} ({verdict.reason})")
+    if verdict.outcome == "Mimic":
+        line = f"MIMIC of {verdict.matched_target} ({verdict.reason})"
     elif verdict.outcome == "Exact":
-        print(f"EXACT (established source {verdict.matched_target})")
+        line = f"EXACT (established source {verdict.matched_target})"
     else:
-        print("CLEAN")
+        line = "CLEAN"
+    _emit(args, payload, [line])
     return EXIT_WITHHOLD if verdict.outcome == "Mimic" else EXIT_SHARE
 
 
@@ -304,34 +246,38 @@ def _train_payload(result: TrainResult) -> dict:
     }
 
 
-def _print_train_table(result: TrainResult, observations: int) -> None:
+def _train_lines(result: TrainResult) -> list[str]:
     diagnostics = result.diagnostics
-    print(f"{'':12s}  {'coefficient':>11s}  {'p-value':>8s}  {'slope':>8s}  {'VIF':>6s}")
+    lines = [f"{'':12s}  {'coefficient':>11s}  {'p-value':>8s}  {'slope':>8s}  {'VIF':>6s}"]
     for name, test in result.wald.items():
         slope = result.slopes.get(name)
         vif_value = diagnostics.vif.get(name)
         slope_s = f"{slope:8.4f}" if slope is not None else " " * 8
         vif_s = f"{vif_value:6.3f}" if vif_value is not None else " " * 6
-        print(f"{name:12s}  {test.estimate:11.4f}  {_format_p(test.p_value):>8s}  {slope_s}  {vif_s}")
+        lines.append(f"{name:12s}  {test.estimate:11.4f}  {_format_p(test.p_value):>8s}  {slope_s}  {vif_s}")
     confusion = diagnostics.confusion
     shares = confusion.cell_shares()
-    print()
-    print(f"McFadden R-squared      {diagnostics.mcfadden:10.4f}")
-    print(f"Adjusted R-squared      {diagnostics.mcfadden_adjusted:10.4f}")
-    print(f"Akaike criterion        {diagnostics.aic:10.4f}")
-    print(f"LR chi-square           {diagnostics.lr_statistic:10.3f} [{diagnostics.lr_p_value:.4f}]"
-          f"  df={diagnostics.lr_df}")
-    print(f"Observations            {observations:10d}")
-    print(f"Confusion (cutoff {confusion.cutoff:.2f}): "
-          f"true-reliable {confusion.true_reliable} ({shares[0]}%), "
-          f"false-fake {confusion.false_fake} ({shares[1]}%), "
-          f"false-reliable {confusion.false_reliable} ({shares[2]}%), "
-          f"true-fake {confusion.true_fake} ({shares[3]}%), "
-          f"accuracy {confusion.accuracy:.4f}")
+    lines += [
+        "",
+        f"McFadden R-squared      {diagnostics.mcfadden:10.4f}",
+        f"Adjusted R-squared      {diagnostics.mcfadden_adjusted:10.4f}",
+        f"Akaike criterion        {diagnostics.aic:10.4f}",
+        f"LR chi-square           {diagnostics.lr_statistic:10.3f} [{diagnostics.lr_p_value:.4f}]"
+        f"  df={diagnostics.lr_df}",
+        f"Observations            {confusion.n:10d}",
+        f"Confusion (cutoff {confusion.cutoff:.2f}): "
+        f"true-reliable {confusion.true_reliable} ({shares[0]}%), "
+        f"false-fake {confusion.false_fake} ({shares[1]}%), "
+        f"false-reliable {confusion.false_reliable} ({shares[2]}%), "
+        f"true-fake {confusion.true_fake} ({shares[3]}%), "
+        f"accuracy {confusion.accuracy:.4f}",
+    ]
+    if result.model_path:
+        lines.append(f"model written to {result.model_path}")
+    return lines
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
-    config = _build_config(args)
     result = train(
         args.dataset,
         features=args.features,
@@ -339,19 +285,8 @@ def _cmd_train(args: argparse.Namespace) -> int:
         slope_convention=args.slope_convention,
         cutoff=args.cutoff,
     )
-    observations = result.diagnostics.confusion.n
-    if config.output_mode == "json":
-        _emit_json(_train_payload(result))
-    else:
-        _print_train_table(result, observations)
-        if result.model_path:
-            print(f"model written to {result.model_path}")
-    _write_report_json(config, _train_payload(result))
+    _emit(args, _train_payload(result), _train_lines(result))
     return EXIT_SHARE
-
-
-def _stars(p: float, alpha: float) -> str:
-    return "*" if p < alpha else ""
 
 
 def _analysis_payload(report: AnalysisReport) -> dict:
@@ -380,13 +315,12 @@ def _analysis_payload(report: AnalysisReport) -> dict:
     }
 
 
-def _print_analysis_table(report: AnalysisReport) -> None:
+def _analysis_lines(report: AnalysisReport) -> list[str]:
     variables = report.variables
     width = max(len(v) for v in variables) + 2
-    print(f"Latent correlation matrix (* marks p < {report.alpha:g}; "
-          f"^ marks a boundary estimate)")
-    header = " " * width + "".join(f"{v:>{width}s}" for v in variables)
-    print(header)
+    lines = [f"Latent correlation matrix (* marks p < {report.alpha:g}; "
+             f"^ marks a boundary estimate)",
+             " " * width + "".join(f"{v:>{width}s}" for v in variables)]
     for i, row_name in enumerate(variables):
         cells = []
         for j in range(len(variables)):
@@ -396,48 +330,26 @@ def _print_analysis_table(report: AnalysisReport) -> None:
                 cells.append(f"{'1':>{width}s}")
             else:
                 est = report.correlations.estimate(i, j)
-                mark = _stars(est.p_value, report.alpha) + ("^" if est.boundary else "")
+                mark = ("*" if est.p_value < report.alpha else "") + ("^" if est.boundary else "")
                 cells.append(f"{est.rho:+.4f}{mark:s}".rjust(width))
-        print(f"{row_name:<{width}s}" + "".join(cells))
-    print()
-    print("Chi-square independence tests (df=1)")
-    print(f"{'pair':<24s}{'statistic':>12s}{'p-value':>10s}  expected>=5")
+        lines.append(f"{row_name:<{width}s}" + "".join(cells))
+    lines += ["", "Chi-square independence tests (df=1)",
+              f"{'pair':<24s}{'statistic':>12s}{'p-value':>10s}  expected>=5"]
     for a, b, res in report.chi_square_rows:
         flag = "yes" if res.expected_frequency_assumption_met else "no"
-        print(f"{a + '-' + b:<24s}{res.statistic:12.4f}{_format_p(res.p_value):>10s}  {flag}")
+        lines.append(f"{a + '-' + b:<24s}{res.statistic:12.4f}{_format_p(res.p_value):>10s}  {flag}")
+    return lines
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    config = _build_config(args)
-    report = analyze(args.dataset, alpha=config.alpha, yates=config.yates)
-    if config.output_mode == "json":
-        _emit_json(_analysis_payload(report))
-    else:
-        _print_analysis_table(report)
-    _write_report_json(config, _analysis_payload(report))
+    report = analyze(args.dataset, alpha=args.alpha, yates=args.yates)
+    _emit(args, _analysis_payload(report), _analysis_lines(report))
     return EXIT_SHARE
 
 
 # --------------------------------------------------------------------------
 # parser
 # --------------------------------------------------------------------------
-
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--model", help="path to a model JSON document (default: builtin)")
-    parser.add_argument("--lexicon", help="path to a lexicon JSON file (default: builtin)")
-    parser.add_argument("--known-domains", dest="known_domains",
-                        help="path to a known-domains list (default: builtin)")
-    parser.add_argument("--threshold", type=float, default=0.5,
-                        help="tolerance threshold T; share iff probability <= T (default 0.5)")
-    parser.add_argument("--output-mode", choices=("table", "json"), default="table",
-                        dest="output_mode", help="stdout format (default table)")
-    parser.add_argument("--offline-root", dest="offline_root",
-                        help="fixture directory; no sockets are opened when set")
-    parser.add_argument("--timeout", type=float, default=10.0,
-                        help="per-request timeout in seconds (default 10)")
-    parser.add_argument("--report-json", dest="report_json",
-                        help="also write the report as JSON to this path")
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -447,23 +359,43 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_score = sub.add_parser("score", help="screen, extract and score one URL (or a batch)")
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--output-mode", choices=("table", "json"), default="table",
+                        dest="output_mode", help="stdout format (default table)")
+    output.add_argument("--report-json", dest="report_json",
+                        help="also write the report as JSON to this path")
+    fetching = argparse.ArgumentParser(add_help=False)
+    fetching.add_argument("--lexicon", help="path to a lexicon JSON file (default: builtin)")
+    fetching.add_argument("--offline-root", dest="offline_root",
+                          help="fixture directory; no sockets are opened when set")
+    fetching.add_argument("--timeout", type=float, default=10.0,
+                          help="per-request timeout in seconds (default 10)")
+    screening = argparse.ArgumentParser(add_help=False)
+    screening.add_argument("--known-domains", dest="known_domains",
+                           help="path to a known-domains list (default: builtin)")
+
+    p_score = sub.add_parser("score", parents=[output, fetching, screening],
+                             help="screen, extract and score one URL (or a batch)")
     p_score.add_argument("url", nargs="?", help="website URL")
     p_score.add_argument("--batch", help="file with one URL per line")
-    _add_common(p_score)
+    p_score.add_argument("--model", help="path to a model JSON document (default: builtin)")
+    p_score.add_argument("--threshold", type=float, default=0.5,
+                         help="tolerance threshold T; share iff probability <= T (default 0.5)")
     p_score.set_defaults(func=_cmd_score)
 
-    p_extract = sub.add_parser("extract", help="print the five binary features of a URL")
+    p_extract = sub.add_parser("extract", parents=[output, fetching],
+                               help="print the five binary features of a URL")
     p_extract.add_argument("url")
-    _add_common(p_extract)
     p_extract.set_defaults(func=_cmd_extract)
 
-    p_screen = sub.add_parser("screen", help="run only the domain-mimicry screening")
+    p_screen = sub.add_parser("screen", parents=[output, screening],
+                              help="run only the domain-mimicry screening")
     p_screen.add_argument("url")
-    _add_common(p_screen)
     p_screen.set_defaults(func=_cmd_screen)
 
-    p_train = sub.add_parser("train", help="fit a model on a labeled CSV and report diagnostics")
+    # no abbreviations: a script's old ``--model PATH`` must not become ``--model-out PATH``
+    p_train = sub.add_parser("train", parents=[output], allow_abbrev=False,
+                             help="fit a model on a labeled CSV and report diagnostics")
     p_train.add_argument("dataset", help="CSV with header label,padlock,contact,telephone,about,terms[,url]")
     p_train.add_argument("--features", default="model2",
                          help="'model1', 'model2' or a comma-separated feature list (default model2)")
@@ -473,16 +405,15 @@ def build_parser() -> argparse.ArgumentParser:
                          default="at-means", dest="slope_convention")
     p_train.add_argument("--cutoff", type=float, default=0.5,
                          help="classification cutoff for the confusion matrix (default 0.5)")
-    _add_common(p_train)
     p_train.set_defaults(func=_cmd_train)
 
-    p_analyze = sub.add_parser("analyze", help="association analysis of a labeled CSV")
+    p_analyze = sub.add_parser("analyze", parents=[output],
+                               help="association analysis of a labeled CSV")
     p_analyze.add_argument("dataset")
     p_analyze.add_argument("--alpha", type=float, default=0.0001,
                            help="significance level for stars (default 0.0001)")
     p_analyze.add_argument("--yates", action="store_true",
                            help="apply the continuity correction to chi-square tests")
-    _add_common(p_analyze)
     p_analyze.set_defaults(func=_cmd_analyze)
 
     return parser
@@ -498,10 +429,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except _ESTIMATION_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ESTIMATION
-    except _OPERATIONAL_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_OPERATIONAL
-    except SourceScopeError as exc:
+    except (SourceScopeError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_OPERATIONAL
 

@@ -71,8 +71,8 @@ class FetchPolicy:
 
     def __post_init__(self):
         for name in ("timeout", "max_redirects", "max_body_bytes", "max_secondary_pages"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"FetchPolicy.{name} must be strictly positive")
+            if (value := getattr(self, name)) <= 0:
+                raise ValueError(f"FetchPolicy.{name} must be strictly positive, got {value!r}")
         if self.offline_root is not None:
             object.__setattr__(self, "offline_root", Path(self.offline_root))
 
@@ -329,9 +329,10 @@ def _fixture_dir(root: Path, url: str) -> Path:
     host = urlsplit(_complete_url(url)).hostname
     if host:
         candidates.append(host.casefold())
+    inside = root.resolve()
     for name in candidates:
         site_dir = root / name
-        if (site_dir / "index.html").is_file():
+        if site_dir.resolve().is_relative_to(inside) and (site_dir / "index.html").is_file():
             return site_dir
     raise NetworkUnreachableError(url, f"no offline fixture under {root}")
 

@@ -17,6 +17,7 @@ from typing import Optional, Sequence
 
 from .diagnostics import FitDiagnostics, diagnose_fit, wald_tests, WaldTest
 from .errors import (
+    DatasetError,
     DuplicateHeaderError,
     EmptyDataError,
     EmptyFileError,
@@ -180,6 +181,8 @@ def load_dataset(path: str | Path) -> LabeledDataset:
         except UnicodeDecodeError as exc:
             raise NotUtf8Error(
                 f"{path}: not UTF-8 text (byte 0x{exc.object[exc.start]:02x}: {exc.reason})") from None
+        except csv.Error as exc:
+            raise DatasetError(f"{path}:{reader.line_num}: {exc}") from None
     try:
         return LabeledDataset.from_counts(counts, provenance=str(path))
     except EmptyDataError:

@@ -144,6 +144,10 @@ _HOMOGLYPH_CHARS = str.maketrans({
 # dw.de, t.co), so the edit-distance rule skips entries with such names.
 _MIN_EDIT_NAME = 5
 
+# RFC 1035 section 2.3.4 limits; they also bound the edit-distance screen's work.
+_MAX_LABEL = 63
+_MAX_HOSTNAME = 253
+
 _LABEL_RE = re.compile(r"^[a-z0-9¡-￿]([a-z0-9¡-￿-]*[a-z0-9¡-￿])?$")
 
 
@@ -206,7 +210,10 @@ def normalize_domain(url: str) -> str:
     if parts.scheme and parts.scheme not in ("http", "https"):
         raise UnparseableUrlError(f"unsupported scheme {parts.scheme!r} in {url!r}")
 
-    hostname = _decode_punycode(hostname.rstrip(".").casefold())
+    hostname = hostname.rstrip(".").casefold()
+    if len(hostname) > _MAX_HOSTNAME or max(map(len, hostname.split("."))) > _MAX_LABEL:
+        raise UnparseableUrlError(f"hostname longer than RFC 1035 allows in {url!r}")
+    hostname = _decode_punycode(hostname)
     if hostname.startswith("www.") and hostname.count(".") >= 2:
         hostname = hostname[4:]
 
@@ -249,7 +256,6 @@ class KnownDomainDB:
     """Immutable list of established registrable domains."""
 
     entries: tuple[str, ...]
-    version: str = "unversioned"
 
     def __post_init__(self):
         seen: dict[str, None] = {}
@@ -329,21 +335,21 @@ def mimicry_check(domain: str, db: KnownDomainDB) -> MimicryVerdict:
     return MimicryVerdict("Mimic", matched_target=best[1], reason=best[2])
 
 
-def _domain_list(text: str, source: str, version: str) -> KnownDomainDB:
+def _domain_list(text: str, source: str) -> KnownDomainDB:
     """A domain list's database: one domain per line, ``#`` comments allowed."""
     entries = tuple(entry for line in text.splitlines()
                     if (entry := line.split("#", 1)[0].strip()))
     if not entries:
         raise EmptyDatabaseError(f"no domains in {source}")
-    return KnownDomainDB(entries, version=version)
+    return KnownDomainDB(entries)
 
 
-def load_known_domains(path: str | Path, version: Optional[str] = None) -> KnownDomainDB:
+def load_known_domains(path: str | Path) -> KnownDomainDB:
     """Load a domain list: one domain per line, ``#`` comments allowed."""
-    return _domain_list(Path(path).read_text(encoding="utf-8"), str(path), version or str(path))
+    return _domain_list(Path(path).read_text(encoding="utf-8"), str(path))
 
 
 def default_known_domains() -> KnownDomainDB:
     """The packaged seed list of established outlets."""
     text = resources.files("sourcescope.data").joinpath("known_domains.txt").read_text("utf-8")
-    return _domain_list(text, "the builtin list", "builtin")
+    return _domain_list(text, "the builtin list")

@@ -1,5 +1,6 @@
 """Command-line behavior: outputs, exit codes, JSON mode, offline guarantee."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -10,7 +11,8 @@ import numpy as np
 import pytest
 
 import sourcescope
-from sourcescope.cli import main
+from sourcescope import cli
+from sourcescope.cli import build_parser, main
 from sourcescope.features import get_fetch_counters, reset_fetch_counters
 from tests.synth import balanced_dataset, write_csv
 
@@ -210,6 +212,14 @@ class TestTrainCommand:
         assert code == 5
         assert "separation" in err.casefold()
 
+    def test_oversized_field_exit_four(self, capsys, tmp_path):
+        path = tmp_path / "big.csv"
+        path.write_text("label,padlock,contact,telephone,about,terms,url\n"
+                        f"1,0,0,0,0,0,{'a' * 200_000}\n", encoding="utf-8")
+        code, _, err = run_cli(capsys, "train", str(path), "--model-out", str(tmp_path / "m.json"))
+        assert code == 4
+        assert f"{path}:2:" in err
+
     def test_missing_dataset_exit_four(self, capsys, tmp_path):
         code, _, _ = run_cli(capsys, "train", str(tmp_path / "nope.csv"),
                              "--model-out", str(tmp_path / "m.json"))
@@ -270,7 +280,7 @@ class TestConfigHandling:
         code, _, err = run_cli(capsys, "score", "http://en-bare.test",
                                "--model", "/nonexistent/model.json", *offline)
         assert code == 4
-        assert "model" in err
+        assert "/nonexistent/model.json" in err
 
     def test_invalid_threshold_exit_four(self, capsys, offline):
         code, _, _ = run_cli(capsys, "score", "http://en-bare.test",
@@ -298,3 +308,54 @@ class TestConfigHandling:
                 "--report-json", str(report_path), *offline)
         payload = json.loads(report_path.read_text(encoding="utf-8"))
         assert payload["verdict"] == "share"
+
+
+FLAGS = {
+    "score": {"--batch", "--model", "--threshold", "--output-mode", "--report-json",
+              "--lexicon", "--offline-root", "--timeout", "--known-domains"},
+    "extract": {"--output-mode", "--report-json", "--lexicon", "--offline-root", "--timeout"},
+    "screen": {"--output-mode", "--report-json", "--known-domains"},
+    "train": {"--output-mode", "--report-json",
+              "--features", "--model-out", "--slope-convention", "--cutoff"},
+    "analyze": {"--output-mode", "--report-json", "--alpha", "--yates"},
+}
+
+
+class TestFlags:
+    def test_each_command_takes_only_the_flags_it_reads(self):
+        (commands,) = [action for action in build_parser()._actions
+                       if isinstance(action, argparse._SubParsersAction)]
+        taken = {name: {flag for action in parser._actions for flag in action.option_strings}
+                 - {"-h", "--help"}
+                 for name, parser in commands.choices.items()}
+        assert taken == FLAGS
+        assert sum(map(len, taken.values())) == 27
+
+    def test_flag_of_another_command_is_a_usage_error(self, capsys, dataset_csv):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["train", str(dataset_csv), "--model", "/nonexistent/model.json"])
+        assert exit_info.value.code == 2
+        assert "--model" in capsys.readouterr().err
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("this command must not build this input")
+
+
+class TestLoaders:
+    def test_dataset_commands_build_no_scoring_inputs(self, capsys, monkeypatch,
+                                                      dataset_csv, tmp_path):
+        for name in ("default_lexicon", "default_known_domains", "load_model_file"):
+            monkeypatch.setattr(cli, name, _refuse)
+        code, _, _ = run_cli(capsys, "train", str(dataset_csv),
+                             "--model-out", str(tmp_path / "m.json"))
+        assert code == 0
+        code, _, _ = run_cli(capsys, "analyze", str(dataset_csv))
+        assert code == 0
+
+    def test_screen_builds_no_lexicon_or_model(self, capsys, monkeypatch):
+        for name in ("default_lexicon", "load_model_file"):
+            monkeypatch.setattr(cli, name, _refuse)
+        code, out, _ = run_cli(capsys, "screen", "nbcnews.com.co")
+        assert code == 3
+        assert "MIMIC of nbcnews.com" in out

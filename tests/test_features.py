@@ -316,6 +316,12 @@ class TestOfflineFetch:
         with pytest.raises(NetworkUnreachableError):
             fetch_site("http://nowhere.test", FetchPolicy(offline_root=tmp_path))
 
+    def test_hostname_cannot_leave_offline_root(self, tmp_path):
+        (tmp_path / "index.html").write_text(page("<p>outside the root</p>"), encoding="utf-8")
+        (tmp_path / "sites").mkdir()
+        with pytest.raises(NetworkUnreachableError, match="no offline fixture"):
+            fetch_site("http://../", FetchPolicy(offline_root=tmp_path / "sites"))
+
     def test_offline_mode_opens_no_sockets(self, tmp_path):
         (tmp_path / "index.html").write_text(page(""), encoding="utf-8")
         reset_fetch_counters()

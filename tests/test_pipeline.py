@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from sourcescope.errors import (
+    DatasetError,
     DuplicateHeaderError,
     EmptyFileError,
     MissingColumnError,
@@ -152,6 +153,16 @@ class TestLoadDataset:
             "label,padlock,contact,telephone,about,terms\n"
             '"1\n",0,0,0,0,0\n1,0,0,x,0,0\n', encoding="utf-8")
         with pytest.raises(NonBinaryCellError, match=r":4: column 'telephone'"):
+            load_dataset(path)
+
+    def test_oversized_field_is_a_dataset_error(self, tmp_path):
+        # the csv module refuses a field over its limit (131,072 characters by default)
+        path = tmp_path / "data.csv"
+        path.write_text(
+            "label,padlock,contact,telephone,about,terms,url\n"
+            "1,0,0,0,0,0,http://a.test\n"
+            f"1,0,0,0,0,0,http://{'a' * 200_000}.test\n", encoding="utf-8")
+        with pytest.raises(DatasetError, match=r"data\.csv:3: field larger than field limit"):
             load_dataset(path)
 
     def test_non_binary_cell_names_location(self, tmp_path):

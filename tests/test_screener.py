@@ -46,6 +46,19 @@ class TestNormalizeDomain:
         with pytest.raises(UnparseableUrlError):
             normalize_domain(bad)
 
+    def test_length_bounds(self):
+        # RFC 1035: 63 characters a label, 253 a name; longer names are refused
+        # before the edit-distance screen compares them with every entry
+        longest = ("a" * 63 + ".") * 3 + "a" * 57 + ".com"
+        assert len(longest) == 253
+        assert normalize_domain(longest) == "a" * 57 + ".com"
+        assert normalize_domain("a" * 63 + ".com.") == "a" * 63 + ".com"
+        for bad in ("a" * 64 + ".com", "b" + longest, "x" * 12_000 + ".com"):
+            with pytest.raises(UnparseableUrlError, match="RFC 1035"):
+                normalize_domain(bad)
+        with pytest.raises(UnparseableUrlError, match="RFC 1035"):
+            KnownDomainDB(("a" * 64 + ".com",))
+
     def test_split_registrable(self):
         assert split_registrable("nbcnews.com") == ("nbcnews", "com")
         assert split_registrable("nbcnews.com.co") == ("nbcnews", "com.co")
