@@ -55,8 +55,7 @@ EXIT_OPERATIONAL = 4
 EXIT_ESTIMATION = 5
 
 _ESTIMATION_ERRORS = (SingularDesignError, SeparationError, ConvergenceError,
-                      ZeroMarginError, SingleClassDataError, DomainError,
-                      EmptyDataError, UnknownVariableError)
+                      ZeroMarginError, SingleClassDataError, DomainError, UnknownVariableError)
 
 
 # --------------------------------------------------------------------------

@@ -15,8 +15,6 @@ import math
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
-import numpy as np
-
 from .errors import SeparationError, SingleClassDataError, SingularDesignError
 from .model import (
     FitOptions,
@@ -24,9 +22,13 @@ from .model import (
     LabeledDataset,
     LogitModel,
     cell_design,
+    dot,
     fit_intercept_only,
     fit_logit,
+    gram,
+    invert,
     predict_probability,
+    scatter,
     sigmoid,
 )
 from .stats import chi_square_sf, normal_cdf
@@ -96,26 +98,23 @@ def lr_test(lnl: float, lnl0: float, df: int) -> tuple[float, float]:
 # --------------------------------------------------------------------------
 
 def vif(data: LabeledDataset, features: Sequence[str]) -> dict[str, float]:
-    """Variance inflation factors 1/(1 - Rj^2), in closed form as the diagonal
-    of the inverse count-weighted correlation matrix of the features.
+    """Variance inflation factors 1/(1 - Rj^2), in closed form as Sjj (S^-1)jj
+    with S the count-weighted scatter of the features, inverted exactly.
 
     A single-feature request returns exactly 1.0 (nothing to be collinear with).
     """
     features = tuple(features)
     if not features:
         return {}
-    X, _, n = cell_design(data, features)
-    if np.linalg.matrix_rank(X) < X.shape[1]:
+    s = scatter(cell_design(data, features))
+    inverse = invert(s)
+    if inverse is None:
         raise SingularDesignError(f"feature columns {features} are collinear or constant")
-    covariance = np.atleast_2d(np.cov(X[:, 1:], rowvar=False, fweights=n))
-    scale = np.sqrt(np.diag(covariance))
-    correlation = covariance / np.outer(scale, scale)
-    np.fill_diagonal(correlation, 1.0)
-    inflation = np.diag(np.linalg.inv(correlation))
+    inflation = [float(s[j][j] * inverse[j][j]) for j in range(len(features))]
     for name, value in zip(features, inflation):
         if value > 1e12:  # Rj^2 > 1 - 1e-12
             raise SingularDesignError(f"feature {name!r} is an exact combination of the others")
-    return {name: float(value) for name, value in zip(features, inflation)}
+    return dict(zip(features, inflation))
 
 
 # --------------------------------------------------------------------------
@@ -189,21 +188,18 @@ def wald_tests(model: LogitModel, data: LabeledDataset) -> dict[str, WaldTest]:
     Keys are 'intercept' plus the model's feature names.
     """
     names = ("intercept",) + model.features
-    X, _, n = cell_design(data, model.features)
-    beta = np.array([model.intercept, *model.coefficients.values()])
-    p = sigmoid(X @ beta)
-    w = n * p * (1.0 - p)
-    information = (X * w[:, None]).T @ X
-    try:
-        covariance = np.linalg.inv(information)
-    except np.linalg.LinAlgError:
-        raise SingularDesignError("information matrix is singular at the estimate") from None
+    cells = cell_design(data, model.features)
+    beta = [model.intercept, *model.coefficients.values()]
+    p = [sigmoid(dot(x, beta)) for x, _, _ in cells]
+    covariance = invert(gram(cells, [n * pi * (1.0 - pi) for (_, _, n), pi in zip(cells, p)]))
+    if covariance is None:
+        raise SingularDesignError("information matrix is singular at the estimate")
     out: dict[str, WaldTest] = {}
     for i, name in enumerate(names):
-        se = math.sqrt(covariance[i, i])
+        se = math.sqrt(covariance[i][i])
         z = beta[i] / se if se > 0 else math.inf
         p_value = 2.0 * normal_cdf(-abs(z))
-        out[name] = WaldTest(float(beta[i]), se, float(z), p_value)
+        out[name] = WaldTest(beta[i], se, z, p_value)
     return out
 
 

@@ -10,14 +10,14 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import os
 import tempfile
 from dataclasses import dataclass
+from fractions import Fraction
 from pathlib import Path
 from types import MappingProxyType
 from typing import Iterable, Mapping, Optional, Sequence, Union
-
-import numpy as np
 
 from .errors import (
     ConvergenceError,
@@ -55,15 +55,12 @@ _DOCUMENT_KEYS = {"version", "intercept", "coefficients", "metadata"}
 _DOCUMENT_VERSION = "1"
 
 
-def sigmoid(z):
+def sigmoid(z: float) -> float:
     """Numerically stable logistic; never exponentiates a large positive."""
-    z = np.asarray(z, dtype=float)
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out if out.ndim else float(out)
+    if z >= 0:
+        return 1.0 / (1.0 + math.exp(-z))
+    ez = math.exp(z)
+    return ez / (1.0 + ez)
 
 
 @dataclass(frozen=True)
@@ -189,15 +186,13 @@ class LabeledDataset:
         return [(tuple(index >> shift & 1 for shift in shifts), index // _FEATURE_CELLS, count)
                 for index, count in enumerate(self.counts) if count]
 
-    def labels(self) -> np.ndarray:
+    def labels(self) -> list[int]:
         """Per-row labels, rows expanded from the table in table order."""
-        _, y, n = cell_design(self, ())
-        return np.repeat(y, n)
+        return [label for _, label, count in self.cells(()) for _ in range(count)]
 
-    def feature_matrix(self, features: Sequence[str]) -> np.ndarray:
-        """Per-row feature columns, in the row order of :meth:`labels`."""
-        X, _, n = cell_design(self, features)
-        return np.repeat(X[:, 1:], n, axis=0)
+    def feature_matrix(self, features: Sequence[str]) -> list[tuple[int, ...]]:
+        """Per-row feature bits, in the row order of :meth:`labels`."""
+        return [bits for bits, _, count in self.cells(features) for _ in range(count)]
 
     def class_counts(self) -> tuple[int, int]:
         """(n fake, n reliable)."""
@@ -205,11 +200,47 @@ class LabeledDataset:
         return ones, len(self) - ones
 
 
-def cell_design(data: LabeledDataset, features: Sequence[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The occupied cells as a weighted design: (X with intercept column, y, counts)."""
-    bits, y, n = zip(*data.cells(features))
-    X = np.column_stack([np.ones(len(n)), np.array(bits, dtype=float)])
-    return X, np.array(y, dtype=float), np.array(n)
+def cell_design(data: LabeledDataset, features: Sequence[str]) -> list:
+    """The occupied cells as a weighted design: ``((1, *bits), label, count)`` each."""
+    return [((1, *bits), label, count) for bits, label, count in data.cells(features)]
+
+
+def dot(x: Sequence[float], beta: Sequence[float]) -> float:
+    return sum(map(operator.mul, x, beta))
+
+
+def gram(cells: list, weights: Sequence[float]) -> list[list]:
+    """``sum(w * x x')`` over the 0/1 cells, one weight each; integer weights
+    give an integer matrix."""
+    k = range(len(cells[0][0]))
+    return [[sum(w for (x, _, _), w in zip(cells, weights) if x[i] and x[j]) for j in k] for i in k]
+
+
+def scatter(cells: list) -> list[list[Fraction]]:
+    """Count-weighted scatter of the features about their means, times the row
+    count: the Schur complement of the intercept in the count Gram matrix, an
+    integer matrix, held as Fractions so :func:`invert` is exact on it.  It is
+    singular iff the design with intercept is rank deficient."""
+    g = gram(cells, [n for _, _, n in cells])
+    k = range(1, len(g))
+    return [[Fraction(g[0][0] * g[i][j] - g[0][i] * g[0][j]) for j in k] for i in k]
+
+
+def invert(matrix: Sequence[Sequence]) -> Optional[list[list]]:
+    """Gauss-Jordan inverse with partial pivoting; None on an exactly zero pivot,
+    which on Fraction entries means the matrix is singular."""
+    k = len(matrix)
+    rows = [[*row, *(int(i == j) for j in range(k))] for i, row in enumerate(matrix)]
+    for col in range(k):
+        pivot = max(range(col, k), key=lambda r: abs(rows[r][col]))
+        if rows[pivot][col] == 0:
+            return None
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        lead = rows[col] = [v / rows[col][col] for v in rows[col]]
+        for r, row in enumerate(rows):
+            if r != col and row[col]:
+                rows[r] = [v - row[col] * u for v, u in zip(row, lead)]
+    return [row[k:] for row in rows]
 
 
 @dataclass(frozen=True)
@@ -242,19 +273,20 @@ def predict_probability(model: LogitModel,
     Clamped to the open interval: extreme linear predictors round to the
     nearest representable value inside (0, 1) instead of 0 or 1 exactly.
     """
-    p = float(sigmoid(model.linear_predictor(x)))
+    p = sigmoid(model.linear_predictor(x))
     return min(max(p, _P_FLOOR), _P_CEIL)
 
 
-def _log_likelihood_from_z(z: np.ndarray, y: np.ndarray, n: np.ndarray) -> float:
-    # count-weighted y*ln p + (1-y)*ln(1-p) without ever forming p
-    return float(-((np.logaddexp(0.0, -z) * y + np.logaddexp(0.0, z) * (1.0 - y)) * n).sum())
+def _log_likelihood(cells: list, beta: Sequence[float]) -> float:
+    # count-weighted y*ln p + (1-y)*ln(1-p) = -n*softplus((1-2y)*z), never forming p
+    terms = ((n, (1 - 2 * y) * dot(x, beta)) for x, y, n in cells)
+    return -sum(n * (max(z, 0.0) + math.log1p(math.exp(-abs(z)))) for n, z in terms)
 
 
 def log_likelihood(model: LogitModel, data: LabeledDataset) -> float:
     """Binomial log-likelihood of the dataset under the model."""
-    X, y, n = cell_design(data, model.features)
-    return _log_likelihood_from_z(X @ [model.intercept, *model.coefficients.values()], y, n)
+    beta = [model.intercept, *model.coefficients.values()]
+    return _log_likelihood(cell_design(data, model.features), beta)
 
 
 def fit_logit(data: LabeledDataset, features: Sequence[str],
@@ -284,51 +316,46 @@ def fit_intercept_only(data: LabeledDataset) -> tuple[float, float]:
 
 
 def _fit(data: LabeledDataset, features: tuple[str, ...], opts: FitOptions) -> FitResult:
-    X, y, n = cell_design(data, features)
-    if np.linalg.matrix_rank(X) < X.shape[1]:
+    cells = cell_design(data, features)
+    if invert(scatter(cells)) is None:
         raise SingularDesignError(
             f"design matrix is rank deficient over features {features}")
 
-    beta = np.zeros(X.shape[1])
-    lnl = _log_likelihood_from_z(X @ beta, y, n)
+    beta = [0.0] * (1 + len(features))
+    lnl = _log_likelihood(cells, beta)
     for iteration in range(opts.max_iterations):
-        z = X @ beta
-        p = sigmoid(z)
-        score = X.T @ (n * (y - p))
-        if np.max(np.abs(score)) < opts.tolerance:
+        p = [sigmoid(dot(x, beta)) for x, _, _ in cells]
+        residuals = [n * (y - pi) for (_, y, n), pi in zip(cells, p)]
+        score = [dot(column, residuals) for column in zip(*(x for x, _, _ in cells))]
+        if max(map(abs, score)) < opts.tolerance:
             return FitResult(_as_model(beta, features), lnl, iteration)
 
-        w = n * p * (1.0 - p)
-        hessian = (X * w[:, None]).T @ X
-        try:
-            step = np.linalg.solve(hessian, score)
-        except np.linalg.LinAlgError:
-            raise SingularDesignError(
-                "weighted normal equations are singular (degenerate fit)") from None
+        inverse = invert(gram(cells, [n * pi * (1.0 - pi) for (_, _, n), pi in zip(cells, p)]))
+        if inverse is None:
+            raise SingularDesignError("weighted normal equations are singular (degenerate fit)")
+        step = [dot(row, score) for row in inverse]
 
-        # step-halving keeps the likelihood monotone on awkward data
-        new_beta = beta + step
-        new_lnl = _log_likelihood_from_z(X @ new_beta, y, n)
+        # step-halving keeps the likelihood monotone on awkward data; a fall
+        # within rounding of lnL is no fall, or a converged fit would stall
+        new_beta = [b + s for b, s in zip(beta, step)]
+        new_lnl = _log_likelihood(cells, new_beta)
         halvings = 0
-        while new_lnl < lnl and halvings < 20:
-            step *= 0.5
-            new_beta = beta + step
-            new_lnl = _log_likelihood_from_z(X @ new_beta, y, n)
+        while new_lnl < lnl - 1e-12 * abs(lnl) and halvings < 20:
+            step = [0.5 * s for s in step]
+            new_beta = [b + s for b, s in zip(beta, step)]
+            new_lnl = _log_likelihood(cells, new_beta)
             halvings += 1
         beta, lnl = new_beta, new_lnl
 
-        if np.max(np.abs(beta)) > opts.separation_bound:
+        if max(map(abs, beta)) > opts.separation_bound:
             raise SeparationError(
                 f"separation detected: |coefficient| exceeded {opts.separation_bound}")
 
     raise ConvergenceError(f"no convergence after {opts.max_iterations} iterations")
 
 
-def _as_model(beta: np.ndarray, features: tuple[str, ...]) -> LogitModel:
-    return LogitModel(
-        intercept=float(beta[0]),
-        coefficients={name: float(b) for name, b in zip(features, beta[1:])},
-    )
+def _as_model(beta: Sequence[float], features: tuple[str, ...]) -> LogitModel:
+    return LogitModel(intercept=beta[0], coefficients=dict(zip(features, beta[1:])))
 
 
 def marginal_effects(model: LogitModel, data: LabeledDataset,
@@ -340,19 +367,20 @@ def marginal_effects(model: LogitModel, data: LabeledDataset,
     """
     if convention not in ("at-means", "average"):
         raise ValueError(f"convention must be 'at-means' or 'average', got {convention!r}")
-    X, _, n = cell_design(data, model.features)
-    beta = np.array([model.intercept, *model.coefficients.values()])
-    means = n @ X / n.sum()
+    cells = cell_design(data, model.features)
+    beta = [model.intercept, *model.coefficients.values()]
+    total = len(data)
+    if convention == "at-means":
+        # the first row of the count Gram matrix holds the column totals
+        rows = [([v / total for v in gram(cells, [n for _, _, n in cells])[0]], 1.0)]
+    else:
+        rows = [(x, n / total) for x, _, n in cells]
     slopes: dict[str, float] = {}
     for j, name in enumerate(model.features, start=1):
-        if convention == "at-means":
-            x1, x0 = means.copy(), means.copy()
-            x1[j], x0[j] = 1.0, 0.0
-            slopes[name] = float(sigmoid(x1 @ beta) - sigmoid(x0 @ beta))
-        else:
-            x1, x0 = X.copy(), X.copy()
-            x1[:, j], x0[:, j] = 1.0, 0.0
-            slopes[name] = float(n @ (sigmoid(x1 @ beta) - sigmoid(x0 @ beta)) / n.sum())
+        slopes[name] = sum(
+            weight * (sigmoid(dot((*x[:j], 1.0, *x[j + 1:]), beta))
+                      - sigmoid(dot((*x[:j], 0.0, *x[j + 1:]), beta)))
+            for x, weight in rows)
     return slopes
 
 

@@ -87,6 +87,13 @@ class TestScoreCommand:
         assert payload[0]["url"] == "https://en-full.test"
         assert payload[1]["path"] == "mimicry-screen"
 
+    def test_empty_batch_exit_four(self, capsys, offline, tmp_path):
+        urls = tmp_path / "urls.txt"
+        urls.write_text("# nothing\n\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, "score", "--batch", str(urls), *offline)
+        assert (code, out) == (4, "")
+        assert f"no URLs in {urls}" in err
+
     def test_malformed_link_does_not_stop_scoring(self, capsys, offline):
         # the page's one unparseable link is skipped; the rest still set every bit
         code, out, err = run_cli(capsys, "score", "https://malformed-link.test",
@@ -263,6 +270,21 @@ def test_python_dash_m_runs_the_cli(dataset_csv):
                           env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert len(json.loads(done.stdout)["chi_square"]) == 5
+
+
+def test_commands_run_without_numpy(dataset_csv, tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(Path(sourcescope.__file__).parents[1]),
+           "SOURCESCOPE_OFFLINE": "1"}
+    code = ("import sys\n"
+            "from sourcescope.cli import main\n"
+            "codes = [main(['score', 'https://demo-reliable.example']),\n"
+            f"         main(['train', {str(dataset_csv)!r}, '--model-out', {str(tmp_path / 'm.json')!r}]),\n"
+            f"         main(['analyze', {str(dataset_csv)!r}])]\n"
+            "print(codes, 'numpy' in sys.modules)")
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[0, 0, 0] False"
 
 
 class TestConfigHandling:

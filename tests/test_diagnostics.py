@@ -20,7 +20,7 @@ from sourcescope.diagnostics import (
     wald_tests,
 )
 from sourcescope.errors import SingleClassDataError, SingularDesignError
-from sourcescope.model import MODEL_II, LabeledDataset, LogitModel, fit_logit
+from sourcescope.model import CELL_INDEX, MODEL_II, LabeledDataset, LogitModel, fit_logit
 from tests.synth import balanced_dataset
 from tests.test_model import dataset_from_counts, fv, random_dataset
 
@@ -115,12 +115,23 @@ class TestVif:
             ({"padlock": 0, "terms": 0}, 0, 35),
         ]
         data = dataset_from_counts(cells)
-        x = data.feature_matrix(("padlock", "terms"))
+        x = np.asarray(data.feature_matrix(("padlock", "terms")))
         r = np.corrcoef(x[:, 0], x[:, 1])[0, 1]
         expected = 1.0 / (1.0 - r * r)
         values = vif(data, ("padlock", "terms"))
         assert values["padlock"] == pytest.approx(expected, rel=1e-9)
         assert values["terms"] == pytest.approx(expected, rel=1e-9)
+
+    def test_near_collinear_columns_are_full_rank(self):
+        # about equals padlock on every row but one of 10^5, which gives
+        # VIF = 50001/2 for both columns in closed form
+        counts = [0] * 64
+        for label, padlock, about, count in ((1, 1, 1, 25_000), (0, 1, 1, 25_000),
+                                             (1, 0, 0, 25_000), (0, 0, 0, 24_999),
+                                             (0, 1, 0, 1)):
+            counts[CELL_INDEX[(str(label), str(padlock), "0", "0", str(about), "0")]] = count
+        data = LabeledDataset.from_counts(counts)
+        assert vif(data, ("padlock", "about")) == {"padlock": 25_000.5, "about": 25_000.5}
 
     def test_always_at_least_one(self):
         rng = np.random.default_rng(44)
@@ -132,6 +143,25 @@ class TestVif:
         rng = np.random.default_rng(45)
         data = random_dataset(rng, 50)
         assert vif(data, ("padlock",)) == {"padlock": 1.0}
+
+
+# Exact collinearity the rank test must catch: a column that complements
+# another (collinear with the intercept), and the sum of two columns that
+# are never 1 together.
+_COMPLEMENT = [({"padlock": p, "terms": 1 - p, "contact": c}, y, 5 + 3 * p + c + y)
+               for p in (0, 1) for c in (0, 1) for y in (0, 1)]
+_DISJOINT_SUM = [({"padlock": p, "contact": c, "about": p + c}, y, 7 + 2 * p + c + 3 * y)
+                 for p, c in ((0, 0), (1, 0), (0, 1)) for y in (0, 1)]
+
+
+@pytest.mark.parametrize("estimator", [fit_logit, vif])
+@pytest.mark.parametrize("cells, features", [
+    (_COMPLEMENT, ("padlock", "contact", "terms")),
+    (_DISJOINT_SUM, ("padlock", "contact", "about")),
+], ids=["complement", "disjoint-sum"])
+def test_exact_collinearity_is_singular(estimator, cells, features):
+    with pytest.raises(SingularDesignError):
+        estimator(dataset_from_counts(cells), features)
 
 
 class TestConfusionMatrix:

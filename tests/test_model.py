@@ -16,6 +16,7 @@ from sourcescope.errors import (
 )
 from sourcescope.features import FEATURE_NAMES, FeatureVector
 from sourcescope.model import (
+    FEATURE_SUBSETS,
     MODEL_I,
     MODEL_II,
     FitOptions,
@@ -198,6 +199,18 @@ class TestFit:
             rows.append((fv(padlock=bit, contact=bit), int(rng.integers(0, 2))))
         with pytest.raises(SingularDesignError):
             fit_logit(LabeledDataset(tuple(rows)), ("padlock", "contact"))
+
+    def test_converged_fit_does_not_stall_on_rounding(self):
+        # plain Newton converges here in 7 steps; near the optimum a step
+        # changes lnL by less than its rounding error, and halving such a step
+        # as if lnL had fallen left the score above tolerance for 100 steps
+        counts = [70, 12, 3, 9, 60, 5, 4, 6, 103, 33, 10, 1, 24, 1, 3, 0,
+                  141, 37, 80, 78, 25, 43, 81, 7, 58, 11, 35, 75, 202, 22, 2, 2,
+                  168, 121, 38, 315, 524, 163, 222, 1168, 378, 568, 114, 6, 180, 10, 353, 60,
+                  59, 60, 175, 670, 39, 406, 625, 281, 35, 27, 72, 995, 502, 179, 74, 170]
+        result = fit_logit(LabeledDataset.from_counts(counts), FEATURE_SUBSETS["model1"])
+        assert result.iterations == 7
+        assert max(map(abs, result.model.coefficients.values())) == pytest.approx(1.6825, abs=1e-4)
 
     def test_separation_detected(self):
         data = dataset_from_counts([
