@@ -14,7 +14,6 @@ from .diagnostics import (
     FitDiagnostics,
     aic,
     confusion_matrix,
-    full_diagnostics,
     lr_test,
     mcfadden,
     mcfadden_adjusted,
@@ -89,8 +88,8 @@ __all__ = [
     "fit_logit", "load_model", "load_model_file", "log_likelihood",
     "marginal_effects", "predict_probability", "save_model", "save_model_file",
     "ConfusionMatrix", "FitDiagnostics", "aic", "confusion_matrix",
-    "full_diagnostics", "lr_test", "mcfadden", "mcfadden_adjusted",
-    "null_log_likelihood", "vif", "wald_tests",
+    "lr_test", "mcfadden", "mcfadden_adjusted", "null_log_likelihood",
+    "vif", "wald_tests",
     "ChiSquareResult", "ContingencyTable2x2", "TetrachoricEstimate",
     "bivariate_normal_cdf", "chi_square_test", "crosstab", "normal_cdf",
     "normal_quantile", "tetrachoric", "tetrachoric_matrix",

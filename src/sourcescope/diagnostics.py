@@ -13,18 +13,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Sequence
 
 from .errors import SeparationError, SingleClassDataError, SingularDesignError
 from .model import (
-    FitOptions,
     FitResult,
     LabeledDataset,
     LogitModel,
     cell_design,
     dot,
     fit_intercept_only,
-    fit_logit,
     gram,
     invert,
     predict_probability,
@@ -47,7 +45,6 @@ __all__ = [
     "confusion_matrix",
     "wald_tests",
     "diagnose_fit",
-    "full_diagnostics",
 ]
 
 
@@ -247,34 +244,4 @@ def diagnose_fit(fit: FitResult, data: LabeledDataset,
         lr_p_value=p_value,
         vif=vif(data, model.features),
         confusion=confusion_matrix(model, data, cutoff),
-    )
-
-
-def full_diagnostics(data: LabeledDataset, features: Sequence[str],
-                     opts: Optional[FitOptions] = None,
-                     cutoff: float = 0.5) -> FitDiagnostics:
-    """Fit a logit on ``features`` and compute the complete report.
-
-    An empty feature list requests the intercept-only fit, for which the
-    pseudo R-squared and LR statistic are zero by construction.
-    """
-    features = tuple(features)
-    if features:
-        return diagnose_fit(fit_logit(data, features, opts), data, cutoff)
-
-    intercept, lnl = fit_intercept_only(data)
-    # constant scorer: a zero coefficient makes the model type usable here
-    constant = LogitModel(intercept=intercept, coefficients={"padlock": 0.0})
-    return FitDiagnostics(
-        ln_likelihood=lnl,
-        null_ln_likelihood=lnl,
-        k=1,
-        mcfadden=0.0,
-        mcfadden_adjusted=mcfadden_adjusted(lnl, lnl, 1),
-        aic=aic(lnl, 1),
-        lr_statistic=0.0,
-        lr_df=0,
-        lr_p_value=1.0,
-        vif={},
-        confusion=confusion_matrix(constant, data, cutoff),
     )

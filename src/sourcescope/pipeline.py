@@ -9,7 +9,6 @@ the scored probability against the caller's tolerance threshold.
 from __future__ import annotations
 
 import csv
-import logging
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -59,8 +58,6 @@ __all__ = [
     "analyze",
     "DATASET_COLUMNS",
 ]
-
-logger = logging.getLogger(__name__)
 
 DATASET_COLUMNS = VARIABLES
 _SPELLING_WIDTH = len(DATASET_COLUMNS)   # the cells before the optional url column
@@ -148,7 +145,6 @@ def score_many(requests: Sequence[ScoreRequest], model: LogitModel, db: KnownDom
         try:
             return request, score_url(request, model, db, lexicon), None
         except Exception as exc:
-            logger.warning("scoring %s failed: %s", request.url, exc)
             return request, None, exc
 
     if len(requests) <= 1:

@@ -8,7 +8,9 @@ numerics both need.  Everything here is pure and deterministic.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
+from statistics import NormalDist
 from typing import Optional, Sequence
 
 from .errors import DomainError, UnknownVariableError, ZeroMarginError
@@ -38,6 +40,8 @@ RHO_MAX = 0.9999
 
 _SQRT2 = math.sqrt(2.0)
 _TWO_PI = 2.0 * math.pi
+_GAMMA_3_2 = math.sqrt(math.pi) / 2.0
+_STANDARD_NORMAL = NormalDist()
 
 
 # --------------------------------------------------------------------------
@@ -49,105 +53,50 @@ def normal_cdf(x: float) -> float:
     return 0.5 * math.erfc(-x / _SQRT2)
 
 
-def _normal_pdf(x: float) -> float:
-    return math.exp(-0.5 * x * x) / math.sqrt(_TWO_PI)
-
-
-# Rational approximation coefficients (Acklam); refined below with one
-# Halley step against erfc, which brings the result to machine precision.
-_Q_A = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-        1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
-_Q_B = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-        6.680131188771972e+01, -1.328068155288572e+01)
-_Q_C = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-        -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
-_Q_D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-        3.754408661907416e+00)
-
-
 def normal_quantile(p: float) -> float:
     """Inverse standard normal CDF for p in (0, 1)."""
     if not 0.0 < p < 1.0:
         raise DomainError(f"quantile argument must lie in (0, 1), got {p!r}")
-    p_low, p_high = 0.02425, 1.0 - 0.02425
-    if p < p_low:
-        q = math.sqrt(-2.0 * math.log(p))
-        x = ((((((_Q_C[0] * q + _Q_C[1]) * q + _Q_C[2]) * q + _Q_C[3]) * q + _Q_C[4]) * q + _Q_C[5])
-             / ((((_Q_D[0] * q + _Q_D[1]) * q + _Q_D[2]) * q + _Q_D[3]) * q + 1.0))
-    elif p <= p_high:
-        q = p - 0.5
-        r = q * q
-        x = ((((((_Q_A[0] * r + _Q_A[1]) * r + _Q_A[2]) * r + _Q_A[3]) * r + _Q_A[4]) * r + _Q_A[5]) * q
-             / (((((_Q_B[0] * r + _Q_B[1]) * r + _Q_B[2]) * r + _Q_B[3]) * r + _Q_B[4]) * r + 1.0))
-    else:
-        q = math.sqrt(-2.0 * math.log(1.0 - p))
-        x = -((((((_Q_C[0] * q + _Q_C[1]) * q + _Q_C[2]) * q + _Q_C[3]) * q + _Q_C[4]) * q + _Q_C[5])
-              / ((((_Q_D[0] * q + _Q_D[1]) * q + _Q_D[2]) * q + _Q_D[3]) * q + 1.0))
-    # One Halley refinement step.
-    err = normal_cdf(x) - p
-    u = err * math.sqrt(_TWO_PI) * math.exp(0.5 * x * x)
-    return x - u / (1.0 + 0.5 * x * u)
+    return _STANDARD_NORMAL.inv_cdf(p)
 
 
 # --------------------------------------------------------------------------
-# chi-square upper tail (regularized incomplete gamma)
+# chi-square upper tail
 # --------------------------------------------------------------------------
 
-def _gamma_p_series(a: float, x: float) -> float:
-    """Lower regularized gamma P(a, x) by series; requires x < a + 1."""
-    term = 1.0 / a
-    total = term
-    denom = a
-    for _ in range(500):
-        denom += 1.0
-        term *= x / denom
-        total += term
-        if abs(term) < abs(total) * 1e-16:
-            break
-    return total * math.exp(-x + a * math.log(x) - math.lgamma(a))
+def chi_square_sf(x: float, df: int) -> float:
+    """Upper-tail probability of the chi-square distribution, integer df.
 
-def _gamma_q_contfrac(a: float, x: float) -> float:
-    """Upper regularized gamma Q(a, x) by continued fraction (Lentz)."""
-    tiny = 1e-300
-    b = x + 1.0 - a
-    c = 1.0 / tiny
-    d = 1.0 / b
-    h = d
-    for i in range(1, 500):
-        an = -i * (i - a)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
-        c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < 1e-16:
-            break
-    return h * math.exp(-x + a * math.log(x) - math.lgamma(a))
-
-
-def chi_square_sf(x: float, df: float) -> float:
-    """Upper-tail probability of the chi-square distribution.
-
-    Regularized incomplete gamma Q(df/2, x/2); convention: x == 0 maps to
+    The finite sums of Abramowitz & Stegun 26.4.4 (odd df) and 26.4.5
+    (even df), each kept as one running term.  Convention: x == 0 maps to
     probability 1 (also for df == 0, where the statistic is degenerate).
+    The leading factor e^(-x/2) underflows past x of about 1490, so the
+    tail reads 0 there whatever df is.
     """
+    if isinstance(df, bool) or not isinstance(df, numbers.Integral):
+        raise DomainError(f"degrees of freedom must be an integer, got {df!r}")
     if df < 0:
         raise DomainError(f"degrees of freedom must be >= 0, got {df!r}")
     if x < 0:
         raise DomainError(f"chi-square statistic must be >= 0, got {x!r}")
     if df == 0:
         return 1.0 if x <= 0 else 0.0
-    if x == 0:
-        return 1.0
-    a, xx = df / 2.0, x / 2.0
-    if xx < a + 1.0:
-        return 1.0 - _gamma_p_series(a, xx)
-    return _gamma_q_contfrac(a, xx)
+    half = x / 2.0
+    if df % 2 == 0:
+        # e^(-x/2) * sum_{k < df/2} (x/2)^k / k!
+        term = total = math.exp(-half)
+        for k in range(1, df // 2):
+            term *= half / k
+            total += term
+        return total
+    # erfc(sqrt(x/2)) + e^(-x/2) * sum_{k=1}^{(df-1)/2} (x/2)^(k-1/2) / Gamma(k+1/2)
+    root = math.sqrt(half)
+    total = math.erfc(root)
+    term = math.exp(-half) * root / _GAMMA_3_2
+    for k in range(1, (df + 1) // 2):
+        total += term
+        term *= half / (k + 0.5)
+    return total
 
 
 # --------------------------------------------------------------------------

@@ -272,19 +272,41 @@ def test_python_dash_m_runs_the_cli(dataset_csv):
     assert len(json.loads(done.stdout)["chi_square"]) == 5
 
 
+@pytest.mark.parametrize("mode, expected", [
+    ("table", ["error: http://no-such-fixture.test: no offline fixture under {sites} "
+               "(http://no-such-fixture.test)"]),
+    ("json", []),
+])
+def test_batch_failure_reported_once(fixture_sites, tmp_path, mode, expected):
+    # a fresh interpreter, so that nothing captures logging's last-resort handler
+    urls = tmp_path / "urls.txt"
+    urls.write_text("http://no-such-fixture.test\nhttps://en-full.test\n", encoding="utf-8")
+    env = {**os.environ, "PYTHONPATH": str(Path(sourcescope.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-m", "sourcescope", "score", "--batch", str(urls),
+                           "--offline-root", str(fixture_sites), "--output-mode", mode],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 4
+    assert done.stderr.splitlines() == [line.format(sites=fixture_sites) for line in expected]
+
+
 def test_commands_run_without_numpy(dataset_csv, tmp_path):
+    # every module the commands load must come from the standard library or
+    # this package; the start-up set is taken first, because site-packages
+    # .pth files may import third-party modules before the script runs
     env = {**os.environ, "PYTHONPATH": str(Path(sourcescope.__file__).parents[1]),
            "SOURCESCOPE_OFFLINE": "1"}
     code = ("import sys\n"
+            "startup = set(sys.modules)\n"
             "from sourcescope.cli import main\n"
             "codes = [main(['score', 'https://demo-reliable.example']),\n"
             f"         main(['train', {str(dataset_csv)!r}, '--model-out', {str(tmp_path / 'm.json')!r}]),\n"
             f"         main(['analyze', {str(dataset_csv)!r}])]\n"
-            "print(codes, 'numpy' in sys.modules)")
+            "loaded = {name.partition('.')[0] for name in set(sys.modules) - startup}\n"
+            "print(codes, sorted(loaded - sys.stdlib_module_names - {'sourcescope'}))")
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=60)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines()[-1] == "[0, 0, 0] False"
+    assert done.stdout.splitlines()[-1] == "[0, 0, 0] []"
 
 
 class TestConfigHandling:

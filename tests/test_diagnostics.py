@@ -10,7 +10,6 @@ from sourcescope.diagnostics import (
     aic,
     confusion_matrix,
     diagnose_fit,
-    full_diagnostics,
     log_likelihood_from_aic,
     lr_test,
     mcfadden,
@@ -229,7 +228,8 @@ class TestFullDiagnostics:
     def test_reference_shape_on_synthetic_data(self):
         rng = np.random.default_rng(314)
         names = tuple(MODEL_II.coefficients)
-        diag = full_diagnostics(balanced_dataset(rng, per_class=200), names)
+        data = balanced_dataset(rng, per_class=200)
+        diag = diagnose_fit(fit_logit(data, names), data)
         assert abs(diag.mcfadden - 0.466) < 0.1
         assert diag.k == 5
         assert diag.lr_df == 4
@@ -238,28 +238,20 @@ class TestFullDiagnostics:
             2 * (diag.ln_likelihood - diag.null_ln_likelihood), abs=1e-9)
         assert set(diag.vif) == set(names)
 
-    def test_intercept_only_request(self):
-        data = dataset_from_counts([({}, 1, 120), ({}, 0, 80)])
-        diag = full_diagnostics(data, ())
-        assert diag.mcfadden == 0.0
-        assert diag.lr_statistic == 0.0
-        assert diag.lr_p_value == 1.0
-        assert diag.k == 1
-        assert diag.vif == {}
-
     def test_duplicated_feature_column_fails(self):
         rng = np.random.default_rng(1)
         rows = []
         for _ in range(60):
             bit = int(rng.integers(0, 2))
             rows.append((fv(padlock=bit, terms=bit), int(rng.integers(0, 2))))
+        data = LabeledDataset(tuple(rows))
         with pytest.raises(SingularDesignError):
-            full_diagnostics(LabeledDataset(tuple(rows)), ("padlock", "terms"))
+            diagnose_fit(fit_logit(data, ("padlock", "terms")), data)
 
     def test_invariants_hold(self):
         rng = np.random.default_rng(272)
         data = random_dataset(rng, 300)
-        diag = full_diagnostics(data, ("padlock", "about"))
+        diag = diagnose_fit(fit_logit(data, ("padlock", "about")), data)
         assert diag.ln_likelihood >= diag.null_ln_likelihood - 1e-9
         assert 0.0 <= diag.mcfadden < 1.0
         assert diag.lr_statistic >= 0.0

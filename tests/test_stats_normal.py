@@ -4,7 +4,8 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, special
+from scipy.stats import chi2
 
 from sourcescope.errors import DomainError
 from sourcescope.stats import chi_square_sf, normal_cdf, normal_quantile
@@ -49,6 +50,12 @@ class TestNormalQuantile:
         with pytest.raises(DomainError):
             normal_quantile(p)
 
+    @pytest.mark.parametrize(
+        "p", [1.0 - 2.0 ** -k for k in range(24, 53, 4)] + [1e-300, 1e-20, 1e-8])
+    def test_tails_against_ndtri(self, p):
+        reference = special.ndtri(p)
+        assert abs(normal_quantile(p) - reference) <= 1e-13 * abs(reference)
+
 
 class TestChiSquareSf:
     def test_matches_numeric_integration(self):
@@ -73,6 +80,14 @@ class TestChiSquareSf:
         values = [chi_square_sf(x, 3) for x in (0.1, 1.0, 5.0, 15.0, 40.0)]
         assert values == sorted(values, reverse=True)
 
-    def test_domain(self):
+    @pytest.mark.parametrize("df", range(1, 11))
+    def test_against_scipy(self, df):
+        for x in (1e-6, 0.01, 0.5, 2.5, 8.0, 20.0, 50.0, 100.0, 300.0, 700.0, 1400.0):
+            reference = chi2.sf(x, df)
+            if reference > 1e-300:
+                assert abs(chi_square_sf(x, df) - reference) <= 1e-12 * reference, x
+
+    @pytest.mark.parametrize("x, df", [(-1.0, 1), (1.0, 1.5), (1.0, -1)])
+    def test_domain(self, x, df):
         with pytest.raises(DomainError):
-            chi_square_sf(-1.0, 1)
+            chi_square_sf(x, df)
