@@ -12,12 +12,12 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 from importlib import resources
 from pathlib import Path
 from typing import Optional
 
 from . import __version__
-from .diagnostics import FitDiagnostics
 from .errors import (
     ConvergenceError,
     DomainError,
@@ -153,7 +153,7 @@ def _cmd_score(args: argparse.Namespace) -> int:
         return EXIT_WITHHOLD if report.verdict == "withhold" else EXIT_SHARE
 
     urls = [line.split("#", 1)[0].strip()
-            for line in Path(args.batch).read_text(encoding="utf-8").splitlines()]
+            for line in Path(args.batch).read_text(encoding="utf-8-sig").splitlines()]
     urls = [u for u in urls if u]
     if not urls:
         raise EmptyDataError(f"no URLs in {args.batch}")
@@ -187,60 +187,30 @@ def _cmd_screen(args: argparse.Namespace) -> int:
     known_domains = _known_domains(args)
     domain = normalize_domain(args.url)
     verdict = mimicry_check(domain, known_domains)
-    payload = {
-        "domain": domain,
-        "outcome": verdict.outcome,
-        "matched_target": verdict.matched_target,
-        "reason": verdict.reason,
-    }
     if verdict.outcome == "Mimic":
         line = f"MIMIC of {verdict.matched_target} ({verdict.reason})"
     elif verdict.outcome == "Exact":
         line = f"EXACT (established source {verdict.matched_target})"
     else:
         line = "CLEAN"
-    _emit(args, payload, [line])
+    _emit(args, dict(domain=domain, **asdict(verdict)), [line])
     return EXIT_WITHHOLD if verdict.outcome == "Mimic" else EXIT_SHARE
 
 
-def _diagnostics_payload(diagnostics: FitDiagnostics) -> dict:
-    confusion = diagnostics.confusion
-    return {
-        "ln_likelihood": diagnostics.ln_likelihood,
-        "null_ln_likelihood": diagnostics.null_ln_likelihood,
-        "k": diagnostics.k,
-        "mcfadden": diagnostics.mcfadden,
-        "mcfadden_adjusted": diagnostics.mcfadden_adjusted,
-        "aic": diagnostics.aic,
-        "lr_statistic": diagnostics.lr_statistic,
-        "lr_df": diagnostics.lr_df,
-        "lr_p_value": diagnostics.lr_p_value,
-        "vif": dict(diagnostics.vif),
-        "confusion": {
-            "true_reliable": confusion.true_reliable,
-            "false_fake": confusion.false_fake,
-            "false_reliable": confusion.false_reliable,
-            "true_fake": confusion.true_fake,
-            "cutoff": confusion.cutoff,
-            "accuracy": confusion.accuracy,
-            "cell_shares_percent": list(confusion.cell_shares()),
-        },
-    }
-
-
 def _train_payload(result: TrainResult) -> dict:
-    model = result.fit.model
+    model, confusion = result.fit.model, result.diagnostics.confusion
+    diagnostics = asdict(result.diagnostics)
+    diagnostics["confusion"].update(accuracy=confusion.accuracy,
+                                    cell_shares_percent=list(confusion.cell_shares()))
     return {
         "model": {
             "intercept": model.intercept,
             "coefficients": dict(model.coefficients),
         },
         "iterations": result.fit.iterations,
-        "wald": {name: {"estimate": t.estimate, "std_error": t.std_error,
-                        "z_value": t.z_value, "p_value": t.p_value}
-                 for name, t in result.wald.items()},
+        "wald": {name: asdict(test) for name, test in result.wald.items()},
         "slopes": result.slopes,
-        "diagnostics": _diagnostics_payload(result.diagnostics),
+        "diagnostics": diagnostics,
         "model_path": str(result.model_path) if result.model_path else None,
     }
 
@@ -288,36 +258,21 @@ def _cmd_train(args: argparse.Namespace) -> int:
     return EXIT_SHARE
 
 
-def _analysis_payload(report: AnalysisReport) -> dict:
-    size = len(report.variables)
-    matrix = []
-    for i in range(size):
-        row = []
-        for j in range(size):
-            if i == j:
-                row.append({"rho": 1.0})
-            else:
-                est = report.correlations.estimate(i, j)
-                row.append({"rho": est.rho, "p_value": est.p_value,
-                            "boundary": est.boundary})
-        matrix.append(row)
+def _analysis_payload(report: AnalysisReport, alpha: float) -> dict:
     return {
         "variables": list(report.variables),
-        "alpha": report.alpha,
-        "tetrachoric": matrix,
-        "chi_square": [
-            {"pair": f"{a}-{b}", "statistic": res.statistic, "df": res.df,
-             "p_value": res.p_value,
-             "expected_frequency_assumption_met": res.expected_frequency_assumption_met}
-            for a, b, res in report.chi_square_rows
-        ],
+        "alpha": alpha,
+        "tetrachoric": [[{"rho": 1.0} if est is None else asdict(est) for est in row]
+                        for row in report.correlations.estimates],
+        "chi_square": [dict(pair=f"{a}-{b}", **asdict(res))
+                       for a, b, res in report.chi_square_rows],
     }
 
 
-def _analysis_lines(report: AnalysisReport) -> list[str]:
+def _analysis_lines(report: AnalysisReport, alpha: float) -> list[str]:
     variables = report.variables
     width = max(len(v) for v in variables) + 2
-    lines = [f"Latent correlation matrix (* marks p < {report.alpha:g}; "
+    lines = [f"Latent correlation matrix (* marks p < {alpha:g}; "
              f"^ marks a boundary estimate)",
              " " * width + "".join(f"{v:>{width}s}" for v in variables)]
     for i, row_name in enumerate(variables):
@@ -329,7 +284,7 @@ def _analysis_lines(report: AnalysisReport) -> list[str]:
                 cells.append(f"{'1':>{width}s}")
             else:
                 est = report.correlations.estimate(i, j)
-                mark = ("*" if est.p_value < report.alpha else "") + ("^" if est.boundary else "")
+                mark = ("*" if est.p_value < alpha else "") + ("^" if est.boundary else "")
                 cells.append(f"{est.rho:+.4f}{mark:s}".rjust(width))
         lines.append(f"{row_name:<{width}s}" + "".join(cells))
     lines += ["", "Chi-square independence tests (df=1)",
@@ -341,8 +296,8 @@ def _analysis_lines(report: AnalysisReport) -> list[str]:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    report = analyze(args.dataset, alpha=args.alpha, yates=args.yates)
-    _emit(args, _analysis_payload(report), _analysis_lines(report))
+    report = analyze(args.dataset, yates=args.yates)
+    _emit(args, _analysis_payload(report, args.alpha), _analysis_lines(report, args.alpha))
     return EXIT_SHARE
 
 

@@ -139,20 +139,20 @@ class ConfusionMatrix:
     def counts(self) -> tuple[int, int, int, int]:
         return (self.true_reliable, self.false_fake, self.false_reliable, self.true_fake)
 
-    def cell_shares(self, decimals: int = 1) -> tuple[float, float, float, float]:
-        """Cell percentages rounded so they sum exactly to 100.
+    def cell_shares(self) -> tuple[float, float, float, float]:
+        """Cell percentages to one decimal, rounded so they sum exactly to 100.
 
-        Largest-remainder rounding; ties go to the earlier cell in
-        (true-reliable, false-fake, false-reliable, true-fake) order.
+        Largest-remainder rounding in tenths of a percent; ties go to the
+        earlier cell in (true-reliable, false-fake, false-reliable,
+        true-fake) order.
         """
-        scale = 10 ** decimals
         raw = [c * 100.0 / self.n for c in self.counts()]
-        floored = [math.floor(v * scale) for v in raw]
-        remainder = round(100 * scale) - sum(floored)
-        order = sorted(range(4), key=lambda i: (-(raw[i] * scale - floored[i]), i))
+        floored = [math.floor(v * 10) for v in raw]
+        remainder = 1000 - sum(floored)
+        order = sorted(range(4), key=lambda i: (-(raw[i] * 10 - floored[i]), i))
         for i in order[:remainder]:
             floored[i] += 1
-        return tuple(v / scale for v in floored)
+        return tuple(v / 10 for v in floored)
 
 
 def confusion_matrix(model: LogitModel, data: LabeledDataset,

@@ -105,9 +105,9 @@ def _lexicon_from_mapping(raw: Mapping, origin: str) -> KeywordLexicon:
 
 
 def load_lexicon(path: str | Path) -> KeywordLexicon:
-    """Load a lexicon from a UTF-8 JSON file."""
+    """Load a lexicon from a UTF-8 JSON file, with or without a byte-order mark."""
     try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+        raw = json.loads(Path(path).read_text(encoding="utf-8-sig"))
     except json.JSONDecodeError as exc:
         raise LexiconError(f"{path}: not valid JSON ({exc})") from None
     if not isinstance(raw, dict):

@@ -1,9 +1,9 @@
 """Site fetching: live HTTP with bounded redirects/size, or offline fixtures.
 
-A snapshot is the landing page plus up to ``max_secondary_pages``
-same-domain pages whose link text or target path matches the lexicon
-(candidate contact/about/terms pages).  Offline mode reads saved HTML from
-a fixture directory and performs zero network operations.
+A snapshot is the landing page plus up to five same-domain pages whose
+link text or target path matches the lexicon (candidate contact/about/terms
+pages).  Offline mode reads saved HTML from a fixture directory, bounded and
+decoded as live pages are, and performs zero network operations.
 """
 
 from __future__ import annotations
@@ -51,6 +51,9 @@ logger = logging.getLogger(__name__)
 _REDIRECT_CODES = (301, 302, 303, 307, 308)
 _HTML_TYPES = ("text/html", "application/xhtml+xml")
 _SECONDARY_WORKERS = 4
+_MAX_REDIRECTS = 5
+_MAX_BODY_BYTES = 2_000_000      # live or fixture
+_MAX_SECONDARY_PAGES = 5
 # left as is in a path or query; spaces and non-ASCII go out as UTF-8 %XX
 _URL_SAFE = "!#$%&'()*+,/:;=?@[]~"
 _BOMS = ((codecs.BOM_UTF8, "utf-8"), (codecs.BOM_UTF16_BE, "utf-16-be"),
@@ -61,18 +64,15 @@ _META_CHARSET = re.compile(rb"<meta[^>]*?charset\s*=\s*[\"']?\s*([-\w.:]+)", re.
 
 @dataclass(frozen=True)
 class FetchPolicy:
-    """Bounds on a single site fetch; immutable and shareable."""
+    """Where a site fetch reads from and how long one request may take;
+    immutable and shareable."""
 
     timeout: float = 10.0
-    max_redirects: int = 5
-    max_body_bytes: int = 2_000_000
-    max_secondary_pages: int = 5
     offline_root: Optional[Path] = None
 
     def __post_init__(self):
-        for name in ("timeout", "max_redirects", "max_body_bytes", "max_secondary_pages"):
-            if (value := getattr(self, name)) <= 0:
-                raise ValueError(f"FetchPolicy.{name} must be strictly positive, got {value!r}")
+        if self.timeout <= 0:
+            raise ValueError(f"FetchPolicy.timeout must be strictly positive, got {self.timeout!r}")
         if self.offline_root is not None:
             object.__setattr__(self, "offline_root", Path(self.offline_root))
 
@@ -183,7 +183,7 @@ def _raw_header_text(value: str) -> str:
 def _get_html(url: str, policy: FetchPolicy) -> tuple[str, str]:
     """Follow redirects and return (final_url, html_text)."""
     current = url
-    for _ in range(policy.max_redirects + 1):
+    for _ in range(_MAX_REDIRECTS + 1):
         try:
             try:
                 response = _open(current, policy)
@@ -207,20 +207,20 @@ def _get_html(url: str, policy: FetchPolicy) -> tuple[str, str]:
                 content_type = (response.headers.get("Content-Type") or "").split(";")[0].strip().lower()
                 if content_type and content_type not in _HTML_TYPES:
                     raise NonHtmlContentError(current, f"content type {content_type!r}")
-                body = response.read(policy.max_body_bytes + 1)
-                if response.length and len(body) <= policy.max_body_bytes:
+                body = response.read(_MAX_BODY_BYTES + 1)
+                if response.length and len(body) <= _MAX_BODY_BYTES:
                     raise NetworkUnreachableError(current, "body shorter than its Content-Length")
                 charset = response.headers.get_content_charset()
         except (OSError, http.client.HTTPException, UnicodeError) as exc:
             if isinstance(exc, TimeoutError) or isinstance(getattr(exc, "reason", None), TimeoutError):
                 raise FetchTimeoutError(current, "request timed out") from None
             raise NetworkUnreachableError(current, f"request failed: {exc}") from None
-        if len(body) > policy.max_body_bytes:
-            raise BodyTooLargeError(current, f"body exceeds {policy.max_body_bytes} bytes")
+        if len(body) > _MAX_BODY_BYTES:
+            raise BodyTooLargeError(current, f"body exceeds {_MAX_BODY_BYTES} bytes")
         if not content_type and not _looks_like_html(body):
             raise NonHtmlContentError(current, "response does not look like HTML")
         return current, _decode(body, charset)
-    raise TooManyRedirectsError(url, f"more than {policy.max_redirects} redirects")
+    raise TooManyRedirectsError(url, f"more than {_MAX_REDIRECTS} redirects")
 
 
 def _decode(body: bytes, charset: Optional[str]) -> str:
@@ -251,8 +251,7 @@ def _decode(body: bytes, charset: Optional[str]) -> str:
         return body.decode("windows-1252", errors="replace")
 
 
-def _candidate_links(landing_url: str, page: PageText, lexicon: KeywordLexicon,
-                     limit: int) -> list[str]:
+def _candidate_links(landing_url: str, page: PageText, lexicon: KeywordLexicon) -> list[str]:
     """Same-domain links whose text or path matches any section phrase."""
     phrases = lexicon.all_section_phrases()
     try:
@@ -280,7 +279,7 @@ def _candidate_links(landing_url: str, page: PageText, lexicon: KeywordLexicon,
         path = normalize_text(parts.path)
         if any(p in text or p in path for p in phrases):
             seen.setdefault(resolved, None)
-        if len(seen) >= limit:
+        if len(seen) >= _MAX_SECONDARY_PAGES:
             break
     return list(seen)
 
@@ -289,7 +288,7 @@ def _fetch_live(url: str, policy: FetchPolicy, lexicon: KeywordLexicon) -> SiteS
     landing = Page(_get_html(_complete_url(url), policy))
     final_url = landing[0]
     pages = [landing]
-    candidates = _candidate_links(final_url, landing.text, lexicon, policy.max_secondary_pages)
+    candidates = _candidate_links(final_url, landing.text, lexicon)
 
     def fetch_one(link: str):
         try:
@@ -337,6 +336,16 @@ def _fixture_dir(root: Path, url: str) -> Path:
     raise NetworkUnreachableError(url, f"no offline fixture under {root}")
 
 
+def _read_fixture_page(path: Path, url: str) -> str:
+    """A saved page's text, by the size bound and decoding of a live page
+    served without a charset header."""
+    with path.open("rb") as handle:
+        body = handle.read(_MAX_BODY_BYTES + 1)
+    if len(body) > _MAX_BODY_BYTES:
+        raise BodyTooLargeError(url, f"fixture page {path.name} exceeds {_MAX_BODY_BYTES} bytes")
+    return _decode(body, None)
+
+
 def _fetch_offline(url: str, policy: FetchPolicy) -> SiteSnapshot:
     assert policy.offline_root is not None
     site_dir = _fixture_dir(policy.offline_root, url)
@@ -344,21 +353,22 @@ def _fetch_offline(url: str, policy: FetchPolicy) -> SiteSnapshot:
     manifest = {}
     manifest_path = site_dir / "manifest.json"
     if manifest_path.is_file():
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+        manifest = json.loads(manifest_path.read_text(encoding="utf-8-sig"))
 
     requested_scheme = urlsplit(_complete_url(url)).scheme
     secure = bool(manifest.get("final_scheme_secure", requested_scheme == "https"))
     final_url = _force_scheme(manifest.get("final_url", url), secure)
 
-    pages = [(final_url, (site_dir / "index.html").read_text(encoding="utf-8"))]
+    pages = [(final_url, _read_fixture_page(site_dir / "index.html", final_url))]
     root = site_dir.resolve()
-    for name in manifest.get("secondary_pages", [])[: policy.max_secondary_pages]:
+    for name in manifest.get("secondary_pages", [])[:_MAX_SECONDARY_PAGES]:
         page_path = (site_dir / name).resolve()
         if not page_path.is_relative_to(root):
             raise NetworkUnreachableError(url, f"fixture page {name!r} lies outside {site_dir}")
         if not page_path.is_file():
             raise NetworkUnreachableError(url, f"fixture lists missing page {name!r}")
-        pages.append((urljoin(final_url, name), page_path.read_text(encoding="utf-8")))
+        page_url = urljoin(final_url, name)
+        pages.append((page_url, _read_fixture_page(page_path, page_url)))
     return SiteSnapshot(
         requested_url=url,
         final_url=final_url,

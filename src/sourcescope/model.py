@@ -139,10 +139,8 @@ class LabeledDataset:
     """
 
     counts: tuple[int, ...]
-    provenance: Optional[str] = None
 
-    def __init__(self, rows: Iterable[tuple[FeatureVector, int]],
-                 provenance: Optional[str] = None):
+    def __init__(self, rows: Iterable[tuple[FeatureVector, int]]):
         counts = [0] * _CELLS
         for i, (features, label) in enumerate(rows):
             if label not in (0, 1):
@@ -153,16 +151,16 @@ class LabeledDataset:
             for name in FEATURE_NAMES:
                 index = 2 * index + getattr(features, name)
             counts[int(index)] += 1
-        self._init_counts(counts, provenance)
+        self._init_counts(counts)
 
     @classmethod
-    def from_counts(cls, counts: Sequence[int], provenance: Optional[str] = None) -> LabeledDataset:
+    def from_counts(cls, counts: Sequence[int]) -> LabeledDataset:
         """The dataset of a finished count table, cells indexed as in :data:`CELL_INDEX`."""
         data = cls.__new__(cls)
-        data._init_counts(counts, provenance)
+        data._init_counts(counts)
         return data
 
-    def _init_counts(self, counts: Sequence[int], provenance: Optional[str]) -> None:
+    def _init_counts(self, counts: Sequence[int]) -> None:
         counts = tuple(counts)
         if len(counts) != _CELLS:
             raise ValueError(f"count table needs {_CELLS} cells, got {len(counts)}")
@@ -172,7 +170,6 @@ class LabeledDataset:
         if not any(counts):
             raise EmptyDataError("dataset is empty")
         object.__setattr__(self, "counts", counts)
-        object.__setattr__(self, "provenance", provenance)
 
     def __len__(self) -> int:
         return sum(self.counts)
@@ -437,7 +434,7 @@ def _parse_constant(token: str):
 
 def load_model_file(path: str | Path) -> LogitModel:
     try:
-        document = json.loads(Path(path).read_text(encoding="utf-8"),
+        document = json.loads(Path(path).read_text(encoding="utf-8-sig"),
                               parse_constant=_parse_constant)
     except json.JSONDecodeError as exc:
         raise ModelDocumentError(f"{path}: not valid JSON ({exc})") from None

@@ -34,7 +34,6 @@ from .features import (
 from .model import (
     CELL_INDEX,
     FEATURE_SUBSETS,
-    FitOptions,
     FitResult,
     LabeledDataset,
     LogitModel,
@@ -180,7 +179,7 @@ def load_dataset(path: str | Path) -> LabeledDataset:
         except csv.Error as exc:
             raise DatasetError(f"{path}:{reader.line_num}: {exc}") from None
     try:
-        return LabeledDataset.from_counts(counts, provenance=str(path))
+        return LabeledDataset.from_counts(counts)
     except EmptyDataError:
         raise EmptyFileError(f"{path}: no data rows") from None
 
@@ -256,7 +255,6 @@ class TrainResult:
 
 
 def train(dataset_path: str | Path, features: str | Sequence[str] = "model2",
-          opts: Optional[FitOptions] = None,
           model_out: Optional[str | Path] = None,
           slope_convention: str = "at-means",
           cutoff: float = 0.5) -> TrainResult:
@@ -267,7 +265,7 @@ def train(dataset_path: str | Path, features: str | Sequence[str] = "model2",
     """
     data = load_dataset(dataset_path)
     names = resolve_features(features)
-    fit = fit_logit(data, names, opts)
+    fit = fit_logit(data, names)
     diagnostics = diagnose_fit(fit, data, cutoff)
     slopes = marginal_effects(fit.model, data, slope_convention)
     wald = wald_tests(fit.model, data)
@@ -286,11 +284,9 @@ class AnalysisReport:
     variables: tuple[str, ...]
     correlations: TetrachoricMatrix
     chi_square_rows: tuple[tuple[str, str, ChiSquareResult], ...]
-    alpha: float
 
 
-def analyze(dataset_path: str | Path, alpha: float = 0.0001,
-            yates: bool = False) -> AnalysisReport:
+def analyze(dataset_path: str | Path, yates: bool = False) -> AnalysisReport:
     """Tetrachoric matrix over all six variables plus label-vs-feature
     chi-square tests, mirroring the pre-model analysis layout."""
     data = load_dataset(dataset_path)
@@ -303,5 +299,4 @@ def analyze(dataset_path: str | Path, alpha: float = 0.0001,
         variables=tuple(DATASET_COLUMNS),
         correlations=correlations,
         chi_square_rows=tuple(rows),
-        alpha=alpha,
     )

@@ -345,8 +345,9 @@ def _domain_list(text: str, source: str) -> KnownDomainDB:
 
 
 def load_known_domains(path: str | Path) -> KnownDomainDB:
-    """Load a domain list: one domain per line, ``#`` comments allowed."""
-    return _domain_list(Path(path).read_text(encoding="utf-8"), str(path))
+    """Load a domain list: UTF-8 with or without a byte-order mark, one
+    domain per line, ``#`` comments allowed."""
+    return _domain_list(Path(path).read_text(encoding="utf-8-sig"), str(path))
 
 
 def default_known_domains() -> KnownDomainDB:

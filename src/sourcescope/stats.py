@@ -11,7 +11,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from statistics import NormalDist
-from typing import Optional, Sequence
+from typing import Optional
 
 from .errors import DomainError, UnknownVariableError, ZeroMarginError
 
@@ -226,9 +226,6 @@ class ContingencyTable2x2:
         return (self.n11 + self.n10, self.n01 + self.n00,
                 self.n11 + self.n01, self.n10 + self.n00)
 
-    def transpose(self) -> "ContingencyTable2x2":
-        return ContingencyTable2x2(self.n11, self.n01, self.n10, self.n00)
-
     def require_margins(self) -> None:
         a1, a0, b1, b0 = self.margins
         for total, label in ((a1, "A=1"), (a0, "A=0"), (b1, "B=1"), (b0, "B=0")):
@@ -347,9 +344,10 @@ class TetrachoricMatrix:
         return self.estimates[i][j]
 
 
-def tetrachoric_matrix(data, variables: Sequence[str] = VARIABLES) -> TetrachoricMatrix:
-    """Pairwise tetrachoric estimates; unit diagonal, exactly symmetric."""
-    names = tuple(variables)
+def tetrachoric_matrix(data) -> TetrachoricMatrix:
+    """Pairwise tetrachoric estimates over :data:`VARIABLES`; unit diagonal,
+    exactly symmetric."""
+    names = VARIABLES
     size = len(names)
     grid: list[list[Optional[TetrachoricEstimate]]] = [[None] * size for _ in range(size)]
     for i in range(size):

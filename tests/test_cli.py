@@ -87,6 +87,14 @@ class TestScoreCommand:
         assert payload[0]["url"] == "https://en-full.test"
         assert payload[1]["path"] == "mimicry-screen"
 
+    def test_batch_file_with_byte_order_mark(self, capsys, offline, tmp_path):
+        urls = tmp_path / "urls.txt"
+        urls.write_text("\ufeffhttps://en-full.test\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, "score", "--batch", str(urls),
+                                 "--output-mode", "json", *offline)
+        assert (code, err) == (0, "")
+        assert json.loads(out)[0]["url"] == "https://en-full.test"
+
     def test_empty_batch_exit_four(self, capsys, offline, tmp_path):
         urls = tmp_path / "urls.txt"
         urls.write_text("# nothing\n\n", encoding="utf-8")

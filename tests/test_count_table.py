@@ -197,7 +197,7 @@ def test_loaded_dataset_holds_only_its_count_table(tmp_path):
     path = tmp_path / "data.csv"
     write_rows(path, rows)
     data = load_dataset(path)
-    assert {f.name for f in dataclasses.fields(data)} == {"counts", "provenance"}
-    assert vars(data).keys() == {"counts", "provenance"}
+    assert {f.name for f in dataclasses.fields(data)} == {"counts"}
+    assert vars(data).keys() == {"counts"}
     assert len(data.counts) == 64 and sum(data.counts) == len(rows)
-    assert data == LabeledDataset(rows, provenance=str(path))
+    assert data == LabeledDataset(rows)

@@ -1,12 +1,14 @@
 """Detectors, lexicon handling and offline snapshots."""
 
+import dataclasses
 import json
+from importlib import resources
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sourcescope.errors import LexiconError, NetworkUnreachableError
+from sourcescope.errors import BodyTooLargeError, LexiconError, NetworkUnreachableError
 from sourcescope.features import (
     FeatureVector,
     FetchPolicy,
@@ -35,17 +37,12 @@ class TestPolicyAndSnapshot:
     def test_policy_defaults(self):
         policy = FetchPolicy()
         assert policy.timeout == 10.0
-        assert policy.max_redirects == 5
-        assert policy.max_body_bytes == 2_000_000
-        assert policy.max_secondary_pages == 5
+        assert policy.offline_root is None
+        assert [f.name for f in dataclasses.fields(FetchPolicy)] == ["timeout", "offline_root"]
 
-    @pytest.mark.parametrize("kwargs", [
-        {"timeout": 0}, {"max_redirects": -1}, {"max_body_bytes": 0},
-        {"max_secondary_pages": 0},
-    ])
-    def test_policy_validation(self, kwargs):
+    def test_policy_validation(self):
         with pytest.raises(ValueError):
-            FetchPolicy(**kwargs)
+            FetchPolicy(timeout=0)
 
     def test_snapshot_requires_pages(self):
         with pytest.raises(ValueError):
@@ -240,6 +237,12 @@ class TestLexicon:
         lexicon = load_lexicon(path)
         assert "write in" in lexicon.phrases_for("contact")
 
+    def test_load_lexicon_with_byte_order_mark(self, tmp_path):
+        path = tmp_path / "lexicon.json"
+        builtin = resources.files("sourcescope.data").joinpath("lexicon.json").read_text("utf-8")
+        path.write_text("\ufeff" + builtin, encoding="utf-8")
+        assert load_lexicon(path) == LEX
+
     def test_missing_seed_phrase_rejected(self, tmp_path):
         raw = {
             "languages": ["en"],
@@ -289,6 +292,15 @@ class TestOfflineFetch:
         assert snap.final_url.startswith("https://")
         assert detect_padlock(snap) == 1
 
+    def test_manifest_with_byte_order_mark(self, tmp_path):
+        site = tmp_path / "upgraded.test"
+        site.mkdir()
+        (site / "index.html").write_text(page(""), encoding="utf-8")
+        (site / "manifest.json").write_text(
+            "\ufeff" + json.dumps({"final_scheme_secure": True}), encoding="utf-8")
+        snap = fetch_site("http://upgraded.test", FetchPolicy(offline_root=tmp_path))
+        assert snap.final_scheme_secure is True
+
     def test_secondary_pages_loaded_in_order(self, tmp_path):
         site = tmp_path / "multi.test"
         site.mkdir()
@@ -321,6 +333,24 @@ class TestOfflineFetch:
         (tmp_path / "sites").mkdir()
         with pytest.raises(NetworkUnreachableError, match="no offline fixture"):
             fetch_site("http://../", FetchPolicy(offline_root=tmp_path / "sites"))
+
+    def test_fixture_pages_decode_by_the_live_rule(self, tmp_path):
+        site = tmp_path / "cafe.test"
+        site.mkdir()
+        (site / "index.html").write_bytes(b"<html><body><p>caf\xe9</p></body></html>")
+        (site / "about.html").write_bytes(
+            b'<html><head><meta charset="iso-8859-15"></head><body>5 \xa4</body></html>')
+        (site / "manifest.json").write_text(
+            json.dumps({"secondary_pages": ["about.html"]}), encoding="utf-8")
+        snap = fetch_site("http://cafe.test", FetchPolicy(offline_root=tmp_path))
+        assert "café" in snap.pages[0][1]
+        assert "5 €" in snap.pages[1][1]
+
+    def test_oversize_fixture_page_refused(self, tmp_path):
+        (tmp_path / "index.html").write_text(page("x" * 2_000_000), encoding="utf-8")
+        with pytest.raises(BodyTooLargeError, match="index.html") as excinfo:
+            fetch_site("http://big.test", FetchPolicy(offline_root=tmp_path))
+        assert excinfo.value.url == "http://big.test/"
 
     def test_offline_mode_opens_no_sockets(self, tmp_path):
         (tmp_path / "index.html").write_text(page(""), encoding="utf-8")

@@ -38,6 +38,11 @@ INTL = """<!DOCTYPE html><html><body>
 <a href="/contact us.html">Contact</a>
 </body></html>"""
 
+# seven same-site candidates, two more than a snapshot takes
+MANY = ("<!DOCTYPE html><html><body>"
+        + "".join(f'<a href="/contact-{i}.html">Contact desk {i}</a>' for i in range(1, 8))
+        + "</body></html>")
+
 BADLINK = """<!DOCTYPE html><html><body>
 <a href="http://[oops/contact">Contact</a>
 <a href="/about.html">About us</a>
@@ -97,7 +102,7 @@ class Handler(BaseHTTPRequestHandler):
         elif self.path == "/pdf":
             self._send_html("%PDF-1.4 not really html", content_type="application/pdf")
         elif self.path == "/huge":
-            self._send_html("<html>" + "x" * 5000 + "</html>")
+            self._send_html("<html>" + "x" * 2_000_000 + "</html>")
         elif self.path == "/slow":
             time.sleep(2.0)
             self._send_html("<html>late</html>")
@@ -132,6 +137,10 @@ class Handler(BaseHTTPRequestHandler):
             self._send_html(INTL)
         elif self.path == "/badlink":
             self._send_html(BADLINK)
+        elif self.path == "/many":
+            self._send_html(MANY)
+        elif self.path.startswith("/contact-"):
+            self._send_html(CONTACT)
         elif self.path in ("/%C3%BCber-uns", "/contact%20us.html"):
             self._send_html(ABOUT)
         elif self.path == "/missing":
@@ -177,14 +186,14 @@ class TestLiveFetch:
         assert snap.final_scheme_secure is False
 
     def test_redirects_followed_within_budget(self, server):
-        snap = fetch_site(f"{server}/hop/3", FetchPolicy(timeout=5, max_redirects=5))
+        snap = fetch_site(f"{server}/hop/3", FetchPolicy(timeout=5))
         assert snap.final_url == f"{server}/"
 
     def test_too_many_redirects(self, server):
         with pytest.raises(TooManyRedirectsError):
-            fetch_site(f"{server}/hop/6", FetchPolicy(timeout=5, max_redirects=5))
+            fetch_site(f"{server}/hop/6", FetchPolicy(timeout=5))
         with pytest.raises(TooManyRedirectsError):
-            fetch_site(f"{server}/loop", FetchPolicy(timeout=5, max_redirects=5))
+            fetch_site(f"{server}/loop", FetchPolicy(timeout=5))
 
     def test_non_html_content(self, server):
         with pytest.raises(NonHtmlContentError):
@@ -192,7 +201,7 @@ class TestLiveFetch:
 
     def test_body_too_large(self, server):
         with pytest.raises(BodyTooLargeError):
-            fetch_site(f"{server}/huge", FetchPolicy(timeout=5, max_body_bytes=1024))
+            fetch_site(f"{server}/huge", FetchPolicy(timeout=5))
 
     def test_timeout(self, server):
         with pytest.raises(FetchTimeoutError):
@@ -211,9 +220,9 @@ class TestLiveFetch:
             fetch_site(f"http://127.0.0.1:{port}/", FetchPolicy(timeout=2))
 
     def test_secondary_page_budget(self, server):
-        policy = FetchPolicy(timeout=5, max_secondary_pages=1)
-        snap = fetch_site(f"{server}/", policy)
-        assert len(snap.pages) == 2
+        snap = fetch_site(f"{server}/many", FetchPolicy(timeout=5))
+        assert [url for url, _ in snap.pages] == [
+            f"{server}/many", *(f"{server}/contact-{i}.html" for i in range(1, 6))]
 
     def test_errors_name_the_url(self, server):
         with pytest.raises(NonHtmlContentError) as excinfo:

@@ -38,8 +38,7 @@ def reference_load_dataset(path: str | Path) -> LabeledDataset:
         header = [cell.strip() for cell in header]
         _validate_header(header, path)
         try:
-            return LabeledDataset(_reference_read_rows(reader, len(header), path),
-                                  provenance=str(path))
+            return LabeledDataset(_reference_read_rows(reader, len(header), path))
         except EmptyDataError:
             raise EmptyFileError(f"{path}: no data rows") from None
 

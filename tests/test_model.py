@@ -279,6 +279,11 @@ class TestSerialization:
         rebuilt = load_model_file(path)
         assert dict(rebuilt.coefficients) == dict(MODEL_II.coefficients)
 
+    def test_file_with_byte_order_mark(self, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text("\ufeff" + json.dumps(save_model(MODEL_II)), encoding="utf-8")
+        assert load_model_file(path) == MODEL_II
+
     def test_missing_intercept(self):
         document = save_model(MODEL_II)
         del document["intercept"]

@@ -241,6 +241,13 @@ class TestDatabase:
         db = load_known_domains(listing)
         assert db.entries == ("nbcnews.com", "cnn.com")
 
+    def test_load_file_with_byte_order_mark(self, tmp_path):
+        listing = tmp_path / "domains.txt"
+        listing.write_text("\ufeffnbcnews.com\ncnn.com\n", encoding="utf-8")
+        db = load_known_domains(listing)
+        assert db.entries == ("nbcnews.com", "cnn.com")
+        assert mimicry_check("nbcnews.com", db).outcome == "Exact"
+
     def test_load_empty_file(self, tmp_path):
         listing = tmp_path / "empty.txt"
         listing.write_text("# nothing\n", encoding="utf-8")
