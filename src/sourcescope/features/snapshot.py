@@ -353,7 +353,10 @@ def _fetch_offline(url: str, policy: FetchPolicy) -> SiteSnapshot:
     manifest = {}
     manifest_path = site_dir / "manifest.json"
     if manifest_path.is_file():
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8-sig"))
+        try:
+            manifest = json.loads(manifest_path.read_text(encoding="utf-8-sig"))
+        except json.JSONDecodeError as exc:
+            raise NetworkUnreachableError(url, f"{manifest_path}: not valid JSON ({exc})") from None
 
     requested_scheme = urlsplit(_complete_url(url)).scheme
     secure = bool(manifest.get("final_scheme_secure", requested_scheme == "https"))

@@ -22,7 +22,6 @@ copies"; there is no single canonical one.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -148,7 +147,16 @@ _MIN_EDIT_NAME = 5
 _MAX_LABEL = 63
 _MAX_HOSTNAME = 253
 
-_LABEL_RE = re.compile(r"^[a-z0-9¡-￿]([a-z0-9¡-￿-]*[a-z0-9¡-￿])?$")
+_LDH = frozenset("abcdefghijklmnopqrstuvwxyz0123456789-")
+
+
+def _is_label(label: str) -> bool:
+    """A hostname label: a-z, 0-9 and U+00A1-U+FFFF, with "-" only inside."""
+    if not label or label[0] == "-" or label[-1] == "-":
+        return False
+    if label.isascii():
+        return _LDH.issuperset(label)
+    return all(c in _LDH or "\xa1" <= c <= "\uffff" for c in label)
 
 
 def fold_homoglyphs(domain: str) -> str:
@@ -218,7 +226,7 @@ def normalize_domain(url: str) -> str:
         hostname = hostname[4:]
 
     labels = hostname.split(".")
-    if not all(_LABEL_RE.match(label) for label in labels):
+    if not all(map(_is_label, labels)):
         raise UnparseableUrlError(f"invalid hostname in {url!r}")
     if all(label.isdigit() for label in labels):
         return hostname  # IPv4 literal: no registrable level to reduce to

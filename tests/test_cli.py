@@ -317,6 +317,20 @@ def test_commands_run_without_numpy(dataset_csv, tmp_path):
     assert done.stdout.splitlines()[-1] == "[0, 0, 0] []"
 
 
+def test_pages_are_read_without_html_parser():
+    env = {**os.environ, "PYTHONPATH": str(Path(sourcescope.__file__).parents[1]),
+           "SOURCESCOPE_OFFLINE": "1"}
+    code = ("import sys\n"
+            "from sourcescope.cli import main\n"
+            "codes = [main(['score', 'https://demo-reliable.example']),\n"
+            "         main(['extract', 'https://demo-unreliable.example'])]\n"
+            "print(codes, sorted({'html.parser', '_markupbase'} & set(sys.modules)))")
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[0, 0] []"
+
+
 class TestConfigHandling:
     def test_custom_model_file(self, capsys, offline, tmp_path):
         document = {"version": "1", "intercept": 0.0,
@@ -333,6 +347,17 @@ class TestConfigHandling:
                                "--model", "/nonexistent/model.json", *offline)
         assert code == 4
         assert "/nonexistent/model.json" in err
+
+    @pytest.mark.parametrize("command", ["score", "extract"])
+    def test_manifest_not_valid_json_exit_four(self, capsys, tmp_path, command):
+        site = tmp_path / "broken.test"
+        site.mkdir()
+        (site / "index.html").write_text("<p>hi</p>", encoding="utf-8")
+        (site / "manifest.json").write_text('{"final_scheme_secure": tru', encoding="utf-8")
+        code, _, err = run_cli(capsys, command, "http://broken.test",
+                               "--offline-root", str(tmp_path))
+        assert code == 4
+        assert f"{site / 'manifest.json'}: not valid JSON" in err
 
     def test_invalid_threshold_exit_four(self, capsys, offline):
         code, _, _ = run_cli(capsys, "score", "http://en-bare.test",

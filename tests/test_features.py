@@ -90,6 +90,18 @@ class TestHtmlRegions:
         assert "contact" not in text.full_text
         assert "plain" in text.full_text
 
+    @pytest.mark.parametrize("section", ["<![ if !IE ]>", "<![foo[x]]>"])
+    def test_unknown_marked_section_ends_at_next_gt(self, section):
+        # read as a bogus comment; html.parser raised here, losing the page's rest
+        text = parse_page(f"{section}<p>x</p><![ endif ]><a href=/contact-us>Contact us</a>")
+        assert text.anchors == (("contact us", "/contact-us"),)
+        assert text.full_text == "x contact us"
+
+    def test_conditional_comments_keep_the_sections_after_them(self, fixture_sites):
+        bits = extract_features("http://conditional-comments.test",
+                                FetchPolicy(offline_root=fixture_sites)).as_dict()
+        assert bits == {"padlock": 1, "contact": 1, "telephone": 1, "about": 1, "terms": 1}
+
 
 class TestDetectPadlock:
     def test_secure(self):

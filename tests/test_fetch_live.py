@@ -21,8 +21,13 @@ from sourcescope.errors import (
     NonHtmlContentError,
     TooManyRedirectsError,
 )
-from sourcescope.features import FetchPolicy, default_lexicon, extract_features, fetch_site
-from sourcescope.features import html_text
+from sourcescope.features import (
+    FetchPolicy,
+    default_lexicon,
+    extract_features,
+    fetch_site,
+    parse_page,
+)
 
 LANDING = """<!DOCTYPE html><html><head><title>live</title></head><body>
 <a href="/contact.html">Contact us</a>
@@ -290,12 +295,11 @@ class TestLiveFetch:
 def test_each_page_is_parsed_once(server, fixture_sites, monkeypatch):
     fed = []
 
-    class CountingExtractor(html_text._Extractor):
-        def feed(self, data):
-            fed.append(data)
-            super().feed(data)
+    def counting_parse_page(html):
+        fed.append(html)
+        return parse_page(html)
 
-    monkeypatch.setattr(html_text, "_Extractor", CountingExtractor)
+    monkeypatch.setattr("sourcescope.features.snapshot.parse_page", counting_parse_page)
     extract_features(f"{server}/", FetchPolicy(timeout=5))
     # the landing page's parse also picks the candidate pages; the about page
     # is fetched but never parsed, as every bit is set before it is reached

@@ -1,12 +1,14 @@
 """Domain normalization and the imitation screen."""
 
 import json
+import re
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sourcescope import screener
 from sourcescope.errors import EmptyDatabaseError, UnparseableUrlError
 from sourcescope.screener import (
     KnownDomainDB,
@@ -58,6 +60,20 @@ class TestNormalizeDomain:
                 normalize_domain(bad)
         with pytest.raises(UnparseableUrlError, match="RFC 1035"):
             KnownDomainDB(("a" * 64 + ".com",))
+
+    def test_label_check_accepts_what_the_label_pattern_did(self):
+        # the pattern _is_label replaced, which took milliseconds to compile at import
+        ok = "a-z0-9\u00a1-\uffff"
+        pattern = re.compile(f"^[{ok}]([{ok}-]*[{ok}])?$")
+        astral = [chr(c) for c in range(0x10000, 0x110000, 997)] + ["\U0010ffff"]
+        for c in [*map(chr, range(0x10000)), *astral]:
+            for label in (c, "a" + c, c + "a", "a" + c + "b", c + c):
+                # "$" also matched before a final newline, which never reaches a
+                # label: urlsplit drops every newline from a URL
+                if not label.endswith("\n"):
+                    assert screener._is_label(label) == bool(pattern.match(label)), label
+        assert not screener._is_label("")
+        assert normalize_domain("http://news\n.com/") == "news.com"
 
     def test_split_registrable(self):
         assert split_registrable("nbcnews.com") == ("nbcnews", "com")
