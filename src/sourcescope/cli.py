@@ -18,17 +18,7 @@ from pathlib import Path
 from typing import Optional
 
 from . import __version__
-from .errors import (
-    ConvergenceError,
-    DomainError,
-    EmptyDataError,
-    SeparationError,
-    SingleClassDataError,
-    SingularDesignError,
-    SourceScopeError,
-    UnknownVariableError,
-    ZeroMarginError,
-)
+from .errors import EmptyDataError, EstimationError, SourceScopeError
 from .features import (
     FEATURE_NAMES,
     FetchPolicy,
@@ -53,9 +43,6 @@ EXIT_SHARE = 0
 EXIT_WITHHOLD = 3
 EXIT_OPERATIONAL = 4
 EXIT_ESTIMATION = 5
-
-_ESTIMATION_ERRORS = (SingularDesignError, SeparationError, ConvergenceError,
-                      ZeroMarginError, SingleClassDataError, DomainError, UnknownVariableError)
 
 
 # --------------------------------------------------------------------------
@@ -122,6 +109,9 @@ def _report_payload(report) -> dict:
         payload["features"] = report.features.as_dict()
     if report.note:
         payload["note"] = report.note
+    if report.skipped_pages:
+        payload["skipped_pages"] = [{"url": url, "reason": reason}
+                                    for url, reason in report.skipped_pages]
     return payload
 
 
@@ -137,6 +127,9 @@ def _report_line(report, url: str, with_url: bool) -> str:
         detail = "  " + _features_line(report.features)
         if report.note:
             detail += f"  ({report.note})"
+    if report.skipped_pages:
+        detail += "  (skipped " + ", ".join(
+            f"{url}: {reason}" for url, reason in report.skipped_pages) + ")"
     prefix = f"{url}  " if with_url else ""
     return (f"{prefix}{report.probability_fake:.4f}  {report.verdict}"
             f"  [{report.path}]{detail}")
@@ -380,7 +373,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         parser.error("score needs a URL or --batch FILE")
     try:
         return args.func(args)
-    except _ESTIMATION_ERRORS as exc:
+    except EstimationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ESTIMATION
     except (SourceScopeError, OSError, ValueError) as exc:

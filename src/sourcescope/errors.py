@@ -9,13 +9,20 @@ class SourceScopeError(Exception):
     """Base class for all package errors."""
 
 
+class EstimationError(SourceScopeError):
+    """A fit or a statistic cannot be computed from the data given; the CLI
+    exits 5 on these and 4 on every other package error."""
+
+
 # --- fetching / feature extraction -----------------------------------------
 
 class FetchError(SourceScopeError):
-    """A site could not be fetched; ``url`` names the failing request."""
+    """A site could not be fetched; ``url`` names the failing request and
+    ``reason`` says what went wrong."""
 
     def __init__(self, url: str, message: str):
         self.url = url
+        self.reason = message
         super().__init__(f"{message} ({url})")
 
 
@@ -59,15 +66,15 @@ class MissingFeatureError(SourceScopeError):
     """Scoring input lacks a feature the model names."""
 
 
-class SingularDesignError(SourceScopeError):
+class SingularDesignError(EstimationError):
     """Design matrix is rank deficient (collinear or constant columns)."""
 
 
-class SeparationError(SourceScopeError):
+class SeparationError(EstimationError):
     """Quasi-complete separation: a coefficient diverged during fitting."""
 
 
-class ConvergenceError(SourceScopeError):
+class ConvergenceError(EstimationError):
     """Fitting did not converge within the iteration budget."""
 
 
@@ -85,19 +92,19 @@ class NonFiniteValueError(ModelDocumentError):
 
 # --- statistics ---------------------------------------------------------------
 
-class DomainError(SourceScopeError):
+class DomainError(EstimationError):
     """Numeric argument outside the mathematical domain of the function."""
 
 
-class ZeroMarginError(SourceScopeError):
+class ZeroMarginError(EstimationError):
     """A 2x2 table has an empty margin, so association is undefined."""
 
 
-class UnknownVariableError(SourceScopeError):
+class UnknownVariableError(EstimationError):
     """Requested variable is not one of the six dataset columns."""
 
 
-class SingleClassDataError(SourceScopeError):
+class SingleClassDataError(EstimationError):
     """Dataset contains only one label value; baselines are undefined."""
 
 

@@ -63,15 +63,20 @@ def detect_padlock(snapshot: SiteSnapshot) -> int:
     return int(snapshot.final_scheme_secure)
 
 
+def _is_phone_link(href: str) -> bool:
+    return href.strip().casefold().startswith(_PHONE_SCHEMES)
+
+
 def _page_regions(page: PageText) -> str:
     """Anchor texts, link paths, headings and footer text of one page.
 
     The regions are joined by newlines.  Normalized text never holds one,
     so a phrase found in the joined string lies within a single region.
+    A phone link's number is not a path.
     """
     regions = [text for text, _ in page.anchors]
     for _, href in page.anchors:
-        if href and not href.startswith(_PHONE_SCHEMES):
+        if href and not _is_phone_link(href):
             try:
                 path = urlsplit(href).path
             except ValueError:      # e.g. an unclosed "[" host: skip this link only
@@ -80,11 +85,6 @@ def _page_regions(page: PageText) -> str:
     regions.extend(page.headings)
     regions.append(page.footer_text)
     return "\n".join(regions)
-
-
-def _shows_phrase(regions: str, phrases: tuple[str, ...]) -> bool:
-    """Whether one of the joined regions holds one of the phrases."""
-    return any(phrase in regions for phrase in phrases)
 
 
 def _digit_spans(text: str):
@@ -99,7 +99,7 @@ def _digit_spans(text: str):
 def _keyword_patterns(lexicon: KeywordLexicon) -> list[re.Pattern]:
     # Literal first: a pattern led by a lookbehind is tried at every
     # position of the text, so the left word boundary is checked per hit.
-    return [re.compile(re.escape(k) + r"(?!\w)") for k in lexicon.telephone_keywords_normalized()]
+    return [re.compile(re.escape(k) + r"(?!\w)") for k in lexicon.telephone_phrases]
 
 
 def _keyword_spans(text: str, pattern: re.Pattern):
@@ -118,7 +118,7 @@ def _page_has_telephone(page: PageText, keyword_patterns: list[re.Pattern]) -> b
     """Whether a phone-scheme link exists or a phone-length digit run sits
     within 40 characters of a telephone/fax keyword."""
     for _, href in page.anchors:
-        if href and href.strip().casefold().startswith(_PHONE_SCHEMES):
+        if href and _is_phone_link(href):
             return True
     text = page.full_text
     hits = [span for pattern in keyword_patterns for span in _keyword_spans(text, pattern)]
@@ -145,16 +145,14 @@ def features_from_snapshot(snapshot: SiteSnapshot, lexicon: Optional[KeywordLexi
     """Apply all five detectors to an existing snapshot, reading its pages
     in order until every bit is set."""
     lexicon = lexicon or default_lexicon()
-    unseen = {kind: lexicon.phrases_for(kind) for kind in SECTION_KINDS}
+    unseen = SECTION_KINDS
     patterns = _keyword_patterns(lexicon)
     telephone = False
     for page in snapshot.pages:
         text = page.text
         if unseen:
-            regions = _page_regions(text)
-            for kind, phrases in list(unseen.items()):
-                if _shows_phrase(regions, phrases):
-                    del unseen[kind]
+            shown = lexicon.sections_shown(_page_regions(text), unseen)
+            unseen = tuple(kind for kind in unseen if kind not in shown)
         telephone = telephone or _page_has_telephone(text, patterns)
         if telephone and not unseen:
             break

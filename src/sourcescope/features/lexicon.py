@@ -5,16 +5,21 @@ casefolded and whitespace-normalized, so lexicon files may use any case.
 The built-in lexicon ships English seed phrases (with their link-path
 forms) plus Italian, Spanish, French and German equivalents, and may be
 replaced or extended via a JSON file.
+
+This module owns section matching: :meth:`KeywordLexicon.sections_shown`
+is the one test of whether a text region shows a contact, about or terms
+section, for the detectors and for picking candidate pages alike.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from importlib import resources
 from pathlib import Path
-from typing import Mapping
+from types import MappingProxyType
+from typing import Iterable, Mapping
 
 from ..errors import LexiconError
 from .html_text import normalize_text
@@ -63,25 +68,24 @@ class KeywordLexicon:
             if not keyword.strip():
                 raise LexiconError("empty telephone keyword")
 
-    def phrases_for(self, kind: str) -> tuple[str, ...]:
-        """All normalized phrases for a section feature, across languages."""
-        if kind not in SECTION_KINDS:
-            raise LexiconError(f"unknown section kind {kind!r}; expected one of {SECTION_KINDS}")
-        table = getattr(self, kind)
-        out = []
-        for lang in self.languages:
-            out.extend(normalize_text(p) for p in table.get(lang, ()))
-        return tuple(dict.fromkeys(out))
+    @cached_property
+    def section_phrases(self) -> Mapping[str, tuple[str, ...]]:
+        """Each section kind's normalized phrases, in language order, first
+        occurrence kept."""
+        return MappingProxyType({kind: tuple(dict.fromkeys(
+            normalize_text(p) for lang in self.languages for p in getattr(self, kind).get(lang, ())))
+            for kind in SECTION_KINDS})
 
-    def all_section_phrases(self) -> tuple[str, ...]:
-        """Union of the three section vocabularies (secondary-page candidates)."""
-        out = []
-        for kind in SECTION_KINDS:
-            out.extend(self.phrases_for(kind))
-        return tuple(dict.fromkeys(out))
-
-    def telephone_keywords_normalized(self) -> tuple[str, ...]:
+    @cached_property
+    def telephone_phrases(self) -> tuple[str, ...]:
+        """The normalized telephone keywords, first occurrence kept."""
         return tuple(dict.fromkeys(normalize_text(k) for k in self.telephone_keywords))
+
+    def sections_shown(self, region: str, kinds: Iterable[str] = SECTION_KINDS) -> list[str]:
+        """The kinds among ``kinds`` that have a phrase inside ``region``, a
+        normalized text (regions joined by newlines match one at a time)."""
+        phrases = self.section_phrases
+        return [kind for kind in kinds if any(p in region for p in phrases[kind])]
 
 
 def _lexicon_from_mapping(raw: Mapping, origin: str) -> KeywordLexicon:

@@ -26,6 +26,7 @@ from urllib.parse import quote, urljoin, urlsplit, urlunsplit
 
 from ..errors import (
     BodyTooLargeError,
+    FetchError,
     FetchTimeoutError,
     NetworkUnreachableError,
     NonHtmlContentError,
@@ -92,17 +93,20 @@ class SiteSnapshot:
 
     requested_url: str
     final_url: str
-    final_scheme_secure: bool
     pages: tuple[Page, ...]   # a plain (url, html) pair is wrapped in a Page
+    # (url, reason) of each candidate page that could not be fetched
+    skipped_pages: tuple[tuple[str, str], ...] = ()
 
     def __post_init__(self):
         if not self.pages:
             raise ValueError("snapshot must contain at least the landing page")
         object.__setattr__(self, "pages", tuple(
             page if isinstance(page, Page) else Page(page) for page in self.pages))
-        scheme = urlsplit(self.final_url).scheme
-        if self.final_scheme_secure != (scheme == "https"):
-            raise ValueError("final_scheme_secure contradicts the final URL scheme")
+
+    @property
+    def final_scheme_secure(self) -> bool:
+        """Whether the final URL, after redirects, is served over TLS."""
+        return urlsplit(self.final_url).scheme == "https"
 
 
 @dataclass
@@ -252,8 +256,7 @@ def _decode(body: bytes, charset: Optional[str]) -> str:
 
 
 def _candidate_links(landing_url: str, page: PageText, lexicon: KeywordLexicon) -> list[str]:
-    """Same-domain links whose text or path matches any section phrase."""
-    phrases = lexicon.all_section_phrases()
+    """Same-domain links whose text or path shows any section kind."""
     try:
         site_domain = normalize_domain(landing_url)
     except UnparseableUrlError:
@@ -276,8 +279,7 @@ def _candidate_links(landing_url: str, page: PageText, lexicon: KeywordLexicon) 
                 continue
         except UnparseableUrlError:
             continue
-        path = normalize_text(parts.path)
-        if any(p in text or p in path for p in phrases):
+        if lexicon.sections_shown(f"{text}\n{normalize_text(parts.path)}"):
             seen.setdefault(resolved, None)
         if len(seen) >= _MAX_SECONDARY_PAGES:
             break
@@ -288,26 +290,27 @@ def _fetch_live(url: str, policy: FetchPolicy, lexicon: KeywordLexicon) -> SiteS
     landing = Page(_get_html(_complete_url(url), policy))
     final_url = landing[0]
     pages = [landing]
+    skipped = []
     candidates = _candidate_links(final_url, landing.text, lexicon)
 
     def fetch_one(link: str):
         try:
-            return _get_html(link, policy)
+            return _get_html(link, policy), None
         except Exception as exc:
-            logger.warning("skipping candidate page %s: %s", link, exc)
-            return None
+            return None, exc.reason if isinstance(exc, FetchError) else str(exc)
 
     if candidates:
         with ThreadPoolExecutor(max_workers=_SECONDARY_WORKERS) as pool:
-            for result in pool.map(fetch_one, candidates):
-                if result is not None:
-                    pages.append(result)
-    secure = urlsplit(final_url).scheme == "https"
+            for link, (page, reason) in zip(candidates, pool.map(fetch_one, candidates)):
+                if page is None:
+                    skipped.append((link, reason))
+                else:
+                    pages.append(page)
     return SiteSnapshot(
         requested_url=url,
         final_url=final_url,
-        final_scheme_secure=secure,
         pages=tuple(pages),
+        skipped_pages=tuple(skipped),
     )
 
 
@@ -375,7 +378,6 @@ def _fetch_offline(url: str, policy: FetchPolicy) -> SiteSnapshot:
     return SiteSnapshot(
         requested_url=url,
         final_url=final_url,
-        final_scheme_secure=secure,
         pages=tuple(pages),
     )
 

@@ -29,7 +29,8 @@ from .features import (
     FetchPolicy,
     KeywordLexicon,
     default_lexicon,
-    extract_features,
+    features_from_snapshot,
+    fetch_site,
 )
 from .model import (
     CELL_INDEX,
@@ -87,6 +88,8 @@ class ScoreReport:
     mimic_reason: Optional[str] = None
     features: Optional[FeatureVector] = None
     note: Optional[str] = None
+    # (url, reason) of each candidate page the fetch had to leave out
+    skipped_pages: tuple[tuple[str, str], ...] = ()
 
     def __post_init__(self):
         if self.path not in ("mimicry-screen", "logit-model"):
@@ -121,7 +124,8 @@ def score_url(request: ScoreRequest, model: LogitModel, db: KnownDomainDB,
             mimic_reason=verdict.reason,
         )
 
-    features = extract_features(request.url, request.policy, lexicon)
+    snapshot = fetch_site(request.url, request.policy, lexicon)
+    features = features_from_snapshot(snapshot, lexicon, source_url=request.url)
     probability = predict_probability(model, features)
     note = None
     if verdict.outcome == "Exact":
@@ -132,6 +136,7 @@ def score_url(request: ScoreRequest, model: LogitModel, db: KnownDomainDB,
         verdict="share" if probability <= request.threshold else "withhold",
         features=features,
         note=note,
+        skipped_pages=snapshot.skipped_pages,
     )
 
 

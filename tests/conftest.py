@@ -25,7 +25,6 @@ def make_snapshot(*pages: str, secure: bool = False, url: str = "http://unit.tes
     return SiteSnapshot(
         requested_url=url,
         final_url=final,
-        final_scheme_secure=secure,
         pages=tuple((f"{final}page{i}", html) for i, html in enumerate(pages)),
     )
 

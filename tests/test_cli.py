@@ -436,3 +436,34 @@ class TestLoaders:
         code, out, _ = run_cli(capsys, "screen", "nbcnews.com.co")
         assert code == 3
         assert "MIMIC of nbcnews.com" in out
+
+
+def _package_errors(cls=sourcescope.errors.SourceScopeError):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _package_errors(sub)
+
+
+_ESTIMATION = {"SingularDesignError", "SeparationError", "ConvergenceError", "ZeroMarginError",
+               "SingleClassDataError", "DomainError", "UnknownVariableError"}
+_CONCRETE_ERRORS = sorted((cls for cls in _package_errors()
+                           if cls is not sourcescope.errors.EstimationError),
+                          key=lambda cls: cls.__name__)
+
+
+def test_estimation_classes_are_the_ones_named():
+    assert _ESTIMATION <= {cls.__name__ for cls in _CONCRETE_ERRORS}
+
+
+@pytest.mark.parametrize("error", _CONCRETE_ERRORS, ids=lambda cls: cls.__name__)
+def test_exit_code_follows_the_error_class(capsys, monkeypatch, error):
+    args = ("http://x.test", "boom") if issubclass(error, sourcescope.errors.FetchError) else ("boom",)
+
+    def fail(_args):
+        raise error(*args)
+
+    monkeypatch.setattr(cli, "_cmd_screen", fail)
+    code, out, err = run_cli(capsys, "screen", "x.test")
+    assert code == (5 if error.__name__ in _ESTIMATION else 4)
+    assert out == ""
+    assert err.startswith("error: boom")

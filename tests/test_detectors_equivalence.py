@@ -1,8 +1,11 @@
 """The one-pass detectors against the per-detector loops they replaced.
 
 The reference below is the earlier ``detect_section`` / ``detect_telephone``
-code, since deleted, kept verbatim apart from names and the skip of a link
-that ``urlsplit`` cannot parse: each section kind rebuilt every page's
+code, since deleted, kept verbatim apart from names, the skip of a link
+that ``urlsplit`` cannot parse, the lexicon's normalized phrase lists (read
+through the reference functions of ``test_section_matching_equivalence``)
+and the phone-link test, which now strips and casefolds the href as the
+telephone detector always did: each section kind rebuilt every page's
 regions and tested each phrase against each region, and each telephone
 keyword was searched with a lookbehind-led pattern.  The current detectors
 must give the same bits.
@@ -25,6 +28,10 @@ from sourcescope.features import (
     parse_page,
 )
 from tests.conftest import make_snapshot
+from tests.test_section_matching_equivalence import (
+    reference_phrases_for,
+    reference_telephone_keywords_normalized,
+)
 
 _PHONE_SCHEMES = ("tel:", "fax:", "callto:")
 _DIGIT_RUN = re.compile(r"\+?\d[\d\s().\-]*")
@@ -37,7 +44,7 @@ def _page_regions(html: str):
     page = parse_page(html)
     regions = [text for text, _ in page.anchors]
     for _, href in page.anchors:
-        if href and not href.startswith(_PHONE_SCHEMES):
+        if href and not href.strip().casefold().startswith(_PHONE_SCHEMES):
             try:
                 path = urlsplit(href).path
             except ValueError:
@@ -53,7 +60,7 @@ def reference_detect_section(snapshot, lexicon, kind):
     """1 iff any page shows a ``kind`` phrase in a link, heading or footer."""
     if kind not in SECTION_KINDS:
         raise ValueError(f"kind must be one of {SECTION_KINDS}, got {kind!r}")
-    phrases = lexicon.phrases_for(kind)
+    phrases = reference_phrases_for(lexicon, kind)
     for _, html in snapshot.pages:
         for region in _page_regions(html):
             if region and any(phrase in region for phrase in phrases):
@@ -73,7 +80,7 @@ def _digit_spans(text: str):
 def reference_detect_telephone(snapshot, lexicon):
     """1 iff a phone-scheme link exists or a phone-length digit run sits
     within 40 characters of a telephone/fax keyword."""
-    keywords = lexicon.telephone_keywords_normalized()
+    keywords = reference_telephone_keywords_normalized(lexicon)
     keyword_res = [re.compile(rf"(?<!\w){re.escape(k)}(?!\w)") for k in keywords]
     for _, html in snapshot.pages:
         page = parse_page(html)
@@ -133,6 +140,7 @@ TOKENS = [
      for text in _near(keyword, filler)]
 HREFS = ["", "#top", "/contact", "/about-us", "/über-uns", "/terms?x=1", "/Who%20We%20Are",
          "http://x.test/legal-notes", "tel:+15550100", " TEL:5550100", "fax:1", "callto:x",
+         "TEL:1-800-CONTACT", " tel:about-us", "Callto:terms",
          "mailto:a@b.test", "http://[::1"]
 
 _text = st.builds(

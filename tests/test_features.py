@@ -46,15 +46,25 @@ class TestPolicyAndSnapshot:
 
     def test_snapshot_requires_pages(self):
         with pytest.raises(ValueError):
-            SiteSnapshot("http://a.test", "http://a.test", False, ())
+            SiteSnapshot("http://a.test", "http://a.test", ())
 
-    def test_snapshot_scheme_consistency(self):
-        with pytest.raises(ValueError):
-            SiteSnapshot("http://a.test", "http://a.test", True,
-                         (("http://a.test", "<html></html>"),))
+    @pytest.mark.parametrize("final_url,secure", [
+        ("https://a.test/", True), ("HTTPS://a.test/", True),
+        ("http://a.test/", False), ("http://https.test/https", False),
+    ])
+    def test_padlock_derives_from_final_url(self, final_url, secure):
+        snap = SiteSnapshot("http://a.test", final_url, ((final_url, "<html></html>"),))
+        assert snap.final_scheme_secure is secure
+        assert detect_padlock(snap) == int(secure)
+
+    def test_padlock_follows_the_upgrade_redirect(self, fixture_sites):
+        snap = fetch_site("http://redirect-upgrade.test", FetchPolicy(offline_root=fixture_sites))
+        assert snap.final_url == "https://redirect-upgrade.test/"
+        assert snap.final_scheme_secure is True
+        assert detect_padlock(snap) == 1
 
     def test_pages_read_as_pairs_and_keep_their_parse(self):
-        snap = SiteSnapshot("http://a.test", "http://a.test", False,
+        snap = SiteSnapshot("http://a.test", "http://a.test",
                             (("http://a.test", page("<h2>About us</h2>")),))
         (url, html), = snap.pages
         assert (url, html) == ("http://a.test", page("<h2>About us</h2>"))
@@ -152,6 +162,16 @@ class TestDetectSection:
                            ("<footer>mentions légales</footer>", "terms")):
             assert features_from_snapshot(make_snapshot(page(body)), LEX).get(kind) == 1
 
+    @pytest.mark.parametrize("href,kind", [
+        ("tel:1-800-CONTACT", "contact"), ("TEL:1-800-CONTACT", "contact"),
+        (" tel:1-800-ABOUT-US", "about"), ("Callto:terms", "terms"),
+        ("\tFAX:terms", "terms"),
+    ])
+    def test_phone_link_number_is_not_a_section_path(self, href, kind):
+        # whatever its case or padding, a phone link is a telephone, not a path
+        bits = features_from_snapshot(make_snapshot(page(f'<a href="{href}">call</a>')), LEX)
+        assert (bits.get(kind), bits.telephone) == (0, 1)
+
 
 class TestDetectTelephone:
     def test_phone_scheme_link(self):
@@ -234,7 +254,7 @@ class TestLexicon:
     def test_default_covers_five_languages(self):
         assert set(LEX.languages) == {"en", "it", "es", "fr", "de"}
         for kind in ("contact", "about", "terms"):
-            assert len(LEX.phrases_for(kind)) >= 10
+            assert len(LEX.section_phrases[kind]) >= 10
 
     def test_load_custom_lexicon(self, tmp_path):
         raw = {
@@ -247,7 +267,7 @@ class TestLexicon:
         path = tmp_path / "lexicon.json"
         path.write_text(json.dumps(raw), encoding="utf-8")
         lexicon = load_lexicon(path)
-        assert "write in" in lexicon.phrases_for("contact")
+        assert "write in" in lexicon.section_phrases["contact"]
 
     def test_load_lexicon_with_byte_order_mark(self, tmp_path):
         path = tmp_path / "lexicon.json"

@@ -1,6 +1,7 @@
 """Live HTTP path exercised against a local loopback server."""
 
 import codecs
+import json
 import logging
 import os
 import socket
@@ -47,6 +48,12 @@ INTL = """<!DOCTYPE html><html><body>
 MANY = ("<!DOCTYPE html><html><body>"
         + "".join(f'<a href="/contact-{i}.html">Contact desk {i}</a>' for i in range(1, 8))
         + "</body></html>")
+
+# two candidate pages, both answering 404
+PARTIAL = """<!DOCTYPE html><html><body>
+<a href="/gone-contact.html">Contact us</a>
+<a href="/gone-about.html">About us</a>
+</body></html>"""
 
 BADLINK = """<!DOCTYPE html><html><body>
 <a href="http://[oops/contact">Contact</a>
@@ -140,6 +147,8 @@ class Handler(BaseHTTPRequestHandler):
             self.end_headers()
         elif self.path == "/intl":
             self._send_html(INTL)
+        elif self.path == "/partial":
+            self._send_html(PARTIAL)
         elif self.path == "/badlink":
             self._send_html(BADLINK)
         elif self.path == "/many":
@@ -292,6 +301,34 @@ class TestLiveFetch:
         assert "certificate verification failed" in caplog.text
 
 
+@pytest.mark.parametrize("mode", ["json", "table"])
+def test_skipped_candidate_pages_are_reported(server, mode):
+    import sourcescope
+
+    env = {**os.environ, "PYTHONPATH": str(Path(sourcescope.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-m", "sourcescope", "score", f"{server}/partial", "--output-mode", mode],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stderr) == (3, "")
+    gone = [f"{server}/gone-contact.html", f"{server}/gone-about.html"]
+    if mode == "json":
+        report = json.loads(done.stdout)
+        assert report["skipped_pages"] == [{"url": url, "reason": "HTTP 404"} for url in gone]
+        assert report["features"] == {"padlock": 0, "contact": 1, "telephone": 0,
+                                      "about": 1, "terms": 0}
+    else:
+        assert done.stdout.rstrip().endswith(
+            f"(skipped {gone[0]}: HTTP 404, {gone[1]}: HTTP 404)")
+
+
+def test_fetch_site_records_skipped_pages(server):
+    snap = fetch_site(f"{server}/partial", FetchPolicy(timeout=5))
+    assert [url for url, _ in snap.pages] == [f"{server}/partial"]
+    assert snap.skipped_pages == ((f"{server}/gone-contact.html", "HTTP 404"),
+                                  (f"{server}/gone-about.html", "HTTP 404"))
+    assert fetch_site(f"{server}/", FetchPolicy(timeout=5)).skipped_pages == ()
+
+
 def test_each_page_is_parsed_once(server, fixture_sites, monkeypatch):
     fed = []
 
@@ -327,8 +364,6 @@ def test_import_loads_no_third_party_http_client():
 class TestOfflineFidelity:
     def test_saved_pages_reproduce_the_live_bits(self, server, tmp_path):
         """Saving a live snapshot as a fixture yields the same feature bits."""
-        import json
-
         from sourcescope.features import features_from_snapshot
 
         live = fetch_site(f"{server}/", FetchPolicy(timeout=5))
