@@ -24,7 +24,8 @@ from .features import (
     FetchPolicy,
     KeywordLexicon,
     default_lexicon,
-    extract_features,
+    features_from_snapshot,
+    fetch_site,
     load_lexicon,
 )
 from .model import MODEL_II, load_model_file
@@ -110,9 +111,19 @@ def _report_payload(report) -> dict:
     if report.note:
         payload["note"] = report.note
     if report.skipped_pages:
-        payload["skipped_pages"] = [{"url": url, "reason": reason}
-                                    for url, reason in report.skipped_pages]
+        payload["skipped_pages"] = _skipped_payload(report.skipped_pages)
     return payload
+
+
+def _skipped_payload(skipped_pages) -> list[dict]:
+    return [{"url": url, "reason": reason} for url, reason in skipped_pages]
+
+
+def _skipped_note(skipped_pages) -> str:
+    """The table-mode note on the candidate pages a fetch left out, or ''."""
+    if not skipped_pages:
+        return ""
+    return "  (skipped " + ", ".join(f"{url}: {reason}" for url, reason in skipped_pages) + ")"
 
 
 # --------------------------------------------------------------------------
@@ -127,9 +138,7 @@ def _report_line(report, url: str, with_url: bool) -> str:
         detail = "  " + _features_line(report.features)
         if report.note:
             detail += f"  ({report.note})"
-    if report.skipped_pages:
-        detail += "  (skipped " + ", ".join(
-            f"{url}: {reason}" for url, reason in report.skipped_pages) + ")"
+    detail += _skipped_note(report.skipped_pages)
     prefix = f"{url}  " if with_url else ""
     return (f"{prefix}{report.probability_fake:.4f}  {report.verdict}"
             f"  [{report.path}]{detail}")
@@ -171,8 +180,13 @@ def _cmd_score(args: argparse.Namespace) -> int:
 
 
 def _cmd_extract(args: argparse.Namespace) -> int:
-    features = extract_features(args.url, _policy(args), _lexicon(args))
-    _emit(args, features.as_dict(), [_features_line(features)])
+    lexicon = _lexicon(args)
+    snapshot = fetch_site(args.url, _policy(args), lexicon)
+    features = features_from_snapshot(snapshot, lexicon, source_url=args.url)
+    payload = features.as_dict()
+    if snapshot.skipped_pages:
+        payload["skipped_pages"] = _skipped_payload(snapshot.skipped_pages)
+    _emit(args, payload, [_features_line(features) + _skipped_note(snapshot.skipped_pages)])
     return EXIT_SHARE
 
 

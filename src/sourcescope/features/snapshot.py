@@ -272,15 +272,14 @@ def _candidate_links(landing_url: str, page: PageText, lexicon: KeywordLexicon) 
         if parts.scheme not in ("http", "https"):
             continue
         resolved = urlunsplit((parts.scheme, parts.netloc, parts.path, parts.query, ""))
-        if resolved == landing_url:
+        if resolved == landing_url or not lexicon.sections_shown(f"{text}\n{normalize_text(parts.path)}"):
             continue
         try:
             if normalize_domain(resolved) != site_domain:
                 continue
         except UnparseableUrlError:
             continue
-        if lexicon.sections_shown(f"{text}\n{normalize_text(parts.path)}"):
-            seen.setdefault(resolved, None)
+        seen.setdefault(resolved, None)
         if len(seen) >= _MAX_SECONDARY_PAGES:
             break
     return list(seen)

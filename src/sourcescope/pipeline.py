@@ -9,9 +9,12 @@ the scored probability against the caller's tolerance threshold.
 from __future__ import annotations
 
 import csv
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from operator import itemgetter
 from pathlib import Path
+from types import MappingProxyType
 from typing import Optional, Sequence
 
 from .diagnostics import FitDiagnostics, diagnose_fit, wald_tests, WaldTest
@@ -61,6 +64,14 @@ __all__ = [
 
 DATASET_COLUMNS = VARIABLES
 _SPELLING_WIDTH = len(DATASET_COLUMNS)   # the cells before the optional url column
+# a plain row's spelling "d,d,d,d,d,d" and its cell; a url row's key adds the comma after it
+_SPELLINGS = MappingProxyType({",".join(key): cell for key, cell in CELL_INDEX.items()})
+_SPELLING_CHARS = 2 * _SPELLING_WIDTH - 1
+_PREFIX_OF = itemgetter(slice(0, _SPELLING_CHARS + 1))
+_BLOCK_CHARS = 16_384     # plain-file read size; larger blocks cost memory and gain no speed
+# the csv module's default field limit: a longer url goes to csv.reader even where the limit
+# is raised, so carrying a partial line from block to block stays linear in the line's length
+_LONGEST_CELL = 131_072
 _BATCH_WORKERS = 8
 
 
@@ -166,9 +177,81 @@ def load_dataset(path: str | Path) -> LabeledDataset:
 
     The file is UTF-8, with or without a byte-order mark.  Rows are counted
     straight into the 64-cell table; the ``url`` column is validated as a
-    column but its values are neither checked nor kept.
+    column but its values are neither checked nor kept.  A plain file is
+    counted from its text (:func:`_count_plain`); every other file, and every
+    error, goes through the csv module.
     """
     path = Path(path)
+    counts = _count_plain(path)
+    if counts is None:
+        counts = _count_csv(path)
+    try:
+        return LabeledDataset.from_counts(counts)
+    except EmptyDataError:
+        raise EmptyFileError(f"{path}: no data rows") from None
+
+
+def _count_plain(path: Path) -> Optional[list[int]]:
+    """The count table of a plain file, read in blocks of text; None for any
+    other file.
+
+    A file is plain when its header is the dataset header (cells padded or in
+    any case) and it holds no quote, carriage return or NUL: each line is then
+    one CSV row, so a row is counted by its leading ``d,d,d,d,d,d`` spelling,
+    and one comma count over the body checks every row's width.  Any other
+    line, a line longer than a row whose ``url`` cell is at the csv module's
+    field limit (or at ``_LONGEST_CELL``), text that is not UTF-8 or a body
+    without rows returns None, and the csv path then counts the file or
+    raises its error.
+    """
+    longest = min(csv.field_size_limit(), _LONGEST_CELL) + _SPELLING_CHARS + 1   # spelling, comma, url
+    counts = [0] * len(CELL_INDEX)
+    rows = commas = 0
+    try:
+        with path.open(encoding="utf-8-sig", newline="") as handle:
+            header = handle.readline(longest)      # within this, no header cell is past the limit
+            names = [cell.strip().casefold() for cell in header.split(",")]
+            if (not header.endswith("\n") or not _plain(header)
+                    or names not in (list(DATASET_COLUMNS), [*DATASET_COLUMNS, "url"])):
+                return None
+            after = "," * (len(names) - _SPELLING_WIDTH)     # what follows a row's spelling in its key
+            carry = ""
+            while True:
+                block = handle.read(_BLOCK_CHARS)
+                text = carry + block
+                cut = text.rfind("\n") + 1 if block else len(text)
+                text, carry = text[:cut], text[cut:]
+                if not _plain(text) or len(carry) > longest:
+                    return None
+                lines = text.split("\n")
+                if len(text) > longest and max(map(len, lines)) > longest:
+                    return None
+                for key, n in Counter(map(_PREFIX_OF, lines) if after else lines).items():
+                    if not key:         # an empty line, skipped by the csv path too
+                        continue
+                    cell = _SPELLINGS.get(key[:_SPELLING_CHARS])
+                    if cell is None or key[_SPELLING_CHARS:] != after:
+                        return None
+                    counts[cell] += n
+                    rows += n
+                commas += text.count(",")
+                if not block:
+                    break
+    except UnicodeDecodeError:
+        return None
+    if not rows or commas != rows * (len(names) - 1):
+        return None
+    return counts
+
+
+def _plain(text: str) -> bool:
+    """Whether ``text`` has none of the characters that make a line more or
+    less than one CSV row, or that the csv module may reject."""
+    return not ('"' in text or "\r" in text or "\0" in text)
+
+
+def _count_csv(path: Path) -> list[int]:
+    """The count table read through ``csv.reader``, whose errors name the line."""
     with path.open(encoding="utf-8-sig", newline="") as handle:
         reader = csv.reader(handle)
         try:
@@ -177,16 +260,12 @@ def load_dataset(path: str | Path) -> LabeledDataset:
                 raise EmptyFileError(f"{path}: file is empty")
             header = [cell.strip() for cell in header]
             _validate_header(header, path)
-            counts = _count_rows(reader, len(header), path)
+            return _count_rows(reader, len(header), path)
         except UnicodeDecodeError as exc:
             raise NotUtf8Error(
                 f"{path}: not UTF-8 text (byte 0x{exc.object[exc.start]:02x}: {exc.reason})") from None
         except csv.Error as exc:
             raise DatasetError(f"{path}:{reader.line_num}: {exc}") from None
-    try:
-        return LabeledDataset.from_counts(counts)
-    except EmptyDataError:
-        raise EmptyFileError(f"{path}: no data rows") from None
 
 
 def _count_rows(reader, width: int, path: Path) -> list[int]:

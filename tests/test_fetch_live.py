@@ -321,6 +321,25 @@ def test_skipped_candidate_pages_are_reported(server, mode):
             f"(skipped {gone[0]}: HTTP 404, {gone[1]}: HTTP 404)")
 
 
+@pytest.mark.parametrize("mode", ["json", "table"])
+def test_extract_reports_skipped_pages(server, mode):
+    import sourcescope
+
+    env = {**os.environ, "PYTHONPATH": str(Path(sourcescope.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-m", "sourcescope", "extract", f"{server}/partial", "--output-mode", mode],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stderr) == (0, "")
+    gone = [f"{server}/gone-contact.html", f"{server}/gone-about.html"]
+    if mode == "json":
+        assert json.loads(done.stdout) == {
+            "padlock": 0, "contact": 1, "telephone": 0, "about": 1, "terms": 0,
+            "skipped_pages": [{"url": url, "reason": "HTTP 404"} for url in gone]}
+    else:
+        assert done.stdout == ("padlock=0 contact=1 telephone=0 about=1 terms=0"
+                               f"  (skipped {gone[0]}: HTTP 404, {gone[1]}: HTTP 404)\n")
+
+
 def test_fetch_site_records_skipped_pages(server):
     snap = fetch_site(f"{server}/partial", FetchPolicy(timeout=5))
     assert [url for url, _ in snap.pages] == [f"{server}/partial"]

@@ -167,6 +167,10 @@ SPANNING = KeywordLexicon(
 @settings(derandomize=True, max_examples=500, deadline=None)
 @given(_any_lexicon, st.sampled_from(LANDINGS), _anchors)
 @example(SPANNING, "http://news.test/", [("read more", "/home"), ("x", "/more/home")])
+# links that show a phrase but lead to another domain, then one that stays
+@example(default_lexicon(), "http://news.test/",
+         [("contact us", "http://other.test/contact"), ("about us", "https://news.test.evil.test/about"),
+          ("terms of use", "//other.test/terms"), ("contact us", "/contact")])
 def test_candidate_links_match_reference(lexicon, landing, anchors):
     page = PageText(anchors=tuple(anchors), headings=(), footer_text="", full_text="")
     assert _candidate_links(landing, page, lexicon) == reference_candidate_links(landing, page, lexicon)
