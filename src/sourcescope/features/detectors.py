@@ -31,6 +31,7 @@ _DIGIT_RUN = re.compile(r"\+?\d[\d\s().\-]*")
 _WORD_CHAR = re.compile(r"\w")
 _PHONE_PROXIMITY = 40
 _MIN_DIGITS, _MAX_DIGITS = 7, 15
+_URL_UNSAFE = str.maketrans("", "", "\t\r\n")     # removed from a URL by urlsplit
 
 
 @dataclass(frozen=True)
@@ -63,28 +64,32 @@ def detect_padlock(snapshot: SiteSnapshot) -> int:
     return int(snapshot.final_scheme_secure)
 
 
-def _is_phone_link(href: str) -> bool:
-    return href.strip().casefold().startswith(_PHONE_SCHEMES)
+def _sections_unseen(page: PageText, hrefs: list[str], kinds: tuple[str, ...],
+                     lexicon: KeywordLexicon) -> tuple[str, ...]:
+    """The kinds among ``kinds`` that no anchor text, heading, footer text or
+    link path (of ``hrefs``, the page's non-phone links) shows.
 
-
-def _page_regions(page: PageText) -> str:
-    """Anchor texts, link paths, headings and footer text of one page.
-
-    The regions are joined by newlines.  Normalized text never holds one,
-    so a phrase found in the joined string lies within a single region.
-    A phone link's number is not a path.
+    The texts are tested first, then the kinds they leave on all hrefs at
+    once: ``urlsplit(href).path`` is a substring of ``href`` less its tabs
+    and line breaks, and a normalized substring is a substring of the
+    normalized whole, so a kind with no phrase in the joined hrefs shows in
+    no path, and no href is split for it.
     """
-    regions = [text for text, _ in page.anchors]
-    for _, href in page.anchors:
-        if href and not _is_phone_link(href):
+    texts = [text for text, _ in page.anchors] + [*page.headings, page.footer_text]
+    shown = lexicon.sections_shown("\n".join(texts), kinds)
+    unseen = [kind for kind in kinds if kind not in shown]
+    maybe = unseen and lexicon.sections_shown(
+        normalize_text(" ".join(hrefs).translate(_URL_UNSAFE)), unseen)
+    if maybe:
+        paths = []
+        for href in hrefs:
             try:
-                path = urlsplit(href).path
+                paths.append(normalize_text(urlsplit(href).path))
             except ValueError:      # e.g. an unclosed "[" host: skip this link only
                 continue
-            regions.append(normalize_text(path))
-    regions.extend(page.headings)
-    regions.append(page.footer_text)
-    return "\n".join(regions)
+        shown = lexicon.sections_shown("\n".join(paths), maybe)
+        unseen = [kind for kind in unseen if kind not in shown]
+    return tuple(unseen)
 
 
 def _digit_spans(text: str):
@@ -94,12 +99,6 @@ def _digit_spans(text: str):
         digits = sum(ch.isdigit() for ch in run)
         if _MIN_DIGITS <= digits <= _MAX_DIGITS:
             yield match.start(), match.start() + len(run)
-
-
-def _keyword_patterns(lexicon: KeywordLexicon) -> list[re.Pattern]:
-    # Literal first: a pattern led by a lookbehind is tried at every
-    # position of the text, so the left word boundary is checked per hit.
-    return [re.compile(re.escape(k) + r"(?!\w)") for k in lexicon.telephone_phrases]
 
 
 def _keyword_spans(text: str, pattern: re.Pattern):
@@ -114,14 +113,11 @@ def _keyword_spans(text: str, pattern: re.Pattern):
             pos = hit.end()
 
 
-def _page_has_telephone(page: PageText, keyword_patterns: list[re.Pattern]) -> bool:
-    """Whether a phone-scheme link exists or a phone-length digit run sits
-    within 40 characters of a telephone/fax keyword."""
-    for _, href in page.anchors:
-        if href and _is_phone_link(href):
-            return True
-    text = page.full_text
-    hits = [span for pattern in keyword_patterns for span in _keyword_spans(text, pattern)]
+def _keyword_near_number(text: str, lexicon: KeywordLexicon) -> bool:
+    """Whether a phone-length digit run sits within 40 characters of a
+    telephone/fax keyword in ``text``."""
+    hits = [span for keyword, pattern in zip(lexicon.telephone_phrases, lexicon.telephone_patterns)
+            if keyword in text for span in _keyword_spans(text, pattern)]
     if not hits:
         return False
     numbers = list(_digit_spans(text))
@@ -143,17 +139,26 @@ def extract_features(url: str, policy: FetchPolicy,
 def features_from_snapshot(snapshot: SiteSnapshot, lexicon: Optional[KeywordLexicon] = None,
                            source_url: Optional[str] = None) -> FeatureVector:
     """Apply all five detectors to an existing snapshot, reading its pages
-    in order until every bit is set."""
+    in order until every bit is set.
+
+    A page is read only for the bits still unset: each distinct href is
+    tested once for a phone scheme, link paths are split only when the
+    hrefs could show a kind the texts do not (:func:`_sections_unseen`),
+    and a telephone keyword is searched only where the text contains it.
+    The bits are those of testing every region of every page.
+    """
     lexicon = lexicon or default_lexicon()
     unseen = SECTION_KINDS
-    patterns = _keyword_patterns(lexicon)
     telephone = False
     for page in snapshot.pages:
         text = page.text
+        phone_link = {href: href.strip().casefold().startswith(_PHONE_SCHEMES)
+                      for _, href in text.anchors if href}
         if unseen:
-            shown = lexicon.sections_shown(_page_regions(text), unseen)
-            unseen = tuple(kind for kind in unseen if kind not in shown)
-        telephone = telephone or _page_has_telephone(text, patterns)
+            hrefs = [href for href, phone in phone_link.items() if not phone]
+            unseen = _sections_unseen(text, hrefs, unseen, lexicon)
+        telephone = (telephone or any(phone_link.values())
+                     or _keyword_near_number(text.full_text, lexicon))
         if telephone and not unseen:
             break
     return FeatureVector(

@@ -14,6 +14,7 @@ section, for the detectors and for picking candidate pages alike.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from importlib import resources
@@ -80,6 +81,13 @@ class KeywordLexicon:
     def telephone_phrases(self) -> tuple[str, ...]:
         """The normalized telephone keywords, first occurrence kept."""
         return tuple(dict.fromkeys(normalize_text(k) for k in self.telephone_keywords))
+
+    @cached_property
+    def telephone_patterns(self) -> tuple[re.Pattern, ...]:
+        """Per telephone phrase, in order, a pattern for it with no word
+        character after it.  A literal-led pattern is tried only at its hits,
+        so the left word boundary is the caller's to check."""
+        return tuple(re.compile(re.escape(k) + r"(?!\w)") for k in self.telephone_phrases)
 
     def sections_shown(self, region: str, kinds: Iterable[str] = SECTION_KINDS) -> list[str]:
         """The kinds among ``kinds`` that have a phrase inside ``region``, a

@@ -9,13 +9,14 @@ the scored probability against the caller's tolerance threshold.
 from __future__ import annotations
 
 import csv
+import sys
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from operator import itemgetter
 from pathlib import Path
 from types import MappingProxyType
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .diagnostics import FitDiagnostics, diagnose_fit, wald_tests, WaldTest
 from .errors import (
@@ -253,7 +254,7 @@ def _plain(text: str) -> bool:
 def _count_csv(path: Path) -> list[int]:
     """The count table read through ``csv.reader``, whose errors name the line."""
     with path.open(encoding="utf-8-sig", newline="") as handle:
-        reader = csv.reader(handle)
+        reader = csv.reader(_bounded_lines(handle, path))
         try:
             header = next(reader, None)
             if header is None:
@@ -266,6 +267,22 @@ def _count_csv(path: Path) -> list[int]:
                 f"{path}: not UTF-8 text (byte 0x{exc.object[exc.start]:02x}: {exc.reason})") from None
         except csv.Error as exc:
             raise DatasetError(f"{path}:{reader.line_num}: {exc}") from None
+
+
+def _bounded_lines(handle, path: Path) -> Iterator[str]:
+    """The physical lines of ``handle``, none read past the longest a row can
+    be: each of at most seven cells at the csv module's field limit, quoted
+    with every character doubled, then a comma or a line break.  A longer
+    line is an error before it is held in memory whole."""
+    # readline takes a C ssize_t; a limit raised to sys.maxsize must still read
+    longest = min((_SPELLING_WIDTH + 1) * (2 * csv.field_size_limit() + 4), sys.maxsize - 1)
+    line_no = 0
+    while line := handle.readline(longest + 1):
+        line_no += 1
+        if len(line) > longest:
+            raise DatasetError(f"{path}:{line_no}: line longer than {longest} characters, "
+                               "more than any row within the csv field limit")
+        yield line
 
 
 def _count_rows(reader, width: int, path: Path) -> list[int]:

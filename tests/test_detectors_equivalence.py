@@ -135,13 +135,21 @@ TOKENS = [
     "of use", "legal", "notes", "über uns", "Kontakt", "AGB", "information",
     "tel", "hotel", "phone", "Fax:", "+tel", "a+tel", "(+tel)", "tel tel", "hotel tel tel",
     "call us", "mobile", "2020", NUMBER, "+39 06 1234 5678", "(02) 1234-5678",
-    "12345678901234567890", "x",
+    "12345678901234567890", "x", "ÜBER UNS", "straße",
 ] + [text for keyword in ("tel", "+tel", "tel tel") for filler in (37, 38, 39)
      for text in _near(keyword, filler)]
 HREFS = ["", "#top", "/contact", "/about-us", "/über-uns", "/terms?x=1", "/Who%20We%20Are",
          "http://x.test/legal-notes", "tel:+15550100", " TEL:5550100", "fax:1", "callto:x",
          "TEL:1-800-CONTACT", " tel:about-us", "Callto:terms",
-         "mailto:a@b.test", "http://[::1"]
+         "mailto:a@b.test", "http://[::1", "http://[oops/about-us",
+         # urlsplit removes tabs and line breaks, so these paths show a phrase
+         "/con\ntact", "/ter\rms", "/ab\tout",
+         # a phrase outside the path: query, fragment, netloc
+         "/x?about-us", "/x#contact", "//contact.test/x", "http://terms.test/",
+         # a leading space or C0 control before the scheme, stripped by urlsplit
+         " http://x.test/about-us", "\x01http://x.test/terms", "\x1f/contact",
+         # case, whitespace runs, and characters that casefold to two (ß, İ)
+         "/ÜBER-UNS", "/Über  uns", "/Impreßum", "/İnformation", "/who%20we%20are", "/About-Us"]
 
 _text = st.builds(
     "".join,
@@ -164,7 +172,7 @@ def assert_same(snapshot, lexicon):
             == reference_features(snapshot, lexicon))
 
 
-@settings(max_examples=300, deadline=None)
+@settings(derandomize=True, max_examples=600, deadline=None)
 @given(st.lists(_page, min_size=1, max_size=3), st.booleans(), st.sampled_from(sorted(LEXICONS)))
 def test_generated_pages_match_reference(pages, secure, lexicon):
     assert_same(make_snapshot(*pages, secure=secure), LEXICONS[lexicon])
@@ -172,6 +180,12 @@ def test_generated_pages_match_reference(pages, secure, lexicon):
 
 def body(*parts: str) -> str:
     return "<html><body>" + "".join(parts) + "</body></html>"
+
+
+@pytest.mark.parametrize("href", HREFS)
+@pytest.mark.parametrize("lexicon", sorted(LEXICONS))
+def test_each_href_alone_matches_reference(href, lexicon):
+    assert_same(make_snapshot(body(f'<a href="{href}">x</a>')), LEXICONS[lexicon])
 
 
 @pytest.mark.parametrize("lexicon,text,expected", [
@@ -217,3 +231,34 @@ def test_unparseable_link_is_skipped_and_the_site_scores():
     assert_same(snapshot, default_lexicon())
     assert features_from_snapshot(snapshot).as_dict() == {
         "padlock": 0, "contact": 1, "telephone": 1, "about": 1, "terms": 1}
+
+
+def test_phone_link_beside_a_section_path():
+    snapshot = make_snapshot(body('<a href="tel:555">a</a><a href="/about-us">b</a>',
+                                  '<a href=" TEL:/terms">c</a>'))
+    assert_same(snapshot, default_lexicon())
+    assert features_from_snapshot(snapshot).as_dict() == {
+        "padlock": 0, "contact": 0, "telephone": 1, "about": 1, "terms": 0}
+
+
+@pytest.mark.parametrize("html,splits,bits", [
+    # the texts show all three kinds
+    (body('<a href="/about-us">Contact us</a><h2>About us</h2><footer>terms</footer>'),
+     False, (1, 1, 1)),
+    # no href holds a phrase of the kinds the texts leave
+    (body('<a href="/news/contact">Contact us</a><a href="/sport?id=1">x</a>'), False, (1, 0, 0)),
+    # a kind shows only in a link path
+    (body('<a href="/about-us">x</a>'), True, (0, 1, 0)),
+])
+def test_link_paths_are_split_only_when_a_missing_kind_could_show(monkeypatch, html, splits, bits):
+    calls = []
+
+    def counting_urlsplit(url, *args, **kwargs):
+        calls.append(url)
+        return urlsplit(url, *args, **kwargs)
+
+    monkeypatch.setattr("sourcescope.features.detectors.urlsplit", counting_urlsplit)
+    snapshot = make_snapshot(html)
+    features = features_from_snapshot(snapshot)
+    assert (features.contact, features.about, features.terms) == bits
+    assert bool(calls) is splits, calls

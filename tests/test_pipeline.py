@@ -1,6 +1,9 @@
 """End-to-end scoring flow, CSV ingestion, training and analysis runs."""
 
+import csv
 import re
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -164,6 +167,32 @@ class TestLoadDataset:
             f"1,0,0,0,0,0,http://{'a' * 200_000}.test\n", encoding="utf-8")
         with pytest.raises(DatasetError, match=r"data\.csv:3: field larger than field limit"):
             load_dataset(path)
+
+    def test_line_past_any_row_is_refused_before_it_is_read_whole(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text(
+            "label,padlock,contact,telephone,about,terms,url\n"
+            "1,0,0,0,0,0,http://a.test\n"
+            f"1,0,0,0,0,0,http://{'a' * 20_000_000}.test\n", encoding="utf-8")
+        tracemalloc.start()
+        try:
+            with pytest.raises(DatasetError, match=r"data\.csv:3: line longer than"):
+                load_dataset(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 << 20, f"peak {peak} bytes"
+
+    def test_field_limit_raised_to_maxsize_still_reads(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text(
+            "label,padlock,contact,telephone,about,terms,url\n"
+            '1,0,0,0,0,0,"http://a.test/?q=1,2"\n', encoding="utf-8")
+        old = csv.field_size_limit(sys.maxsize)
+        try:
+            assert sum(load_dataset(path).counts) == 1
+        finally:
+            csv.field_size_limit(old)
 
     def test_non_binary_cell_names_location(self, tmp_path):
         path = tmp_path / "data.csv"
