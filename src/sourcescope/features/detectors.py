@@ -7,11 +7,10 @@ adding pages or languages can only raise bits, never lower them.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Optional
 from urllib.parse import urlsplit
 
-from ..errors import MissingFeatureError
+from ..model import FEATURE_NAMES, FeatureVector
 from .html_text import PageText, normalize_text
 from .lexicon import SECTION_KINDS, KeywordLexicon, default_lexicon
 from .snapshot import FetchPolicy, SiteSnapshot, fetch_site
@@ -23,8 +22,6 @@ __all__ = [
     "extract_features",
 ]
 
-FEATURE_NAMES = ("padlock", "contact", "telephone", "about", "terms")
-
 _PHONE_SCHEMES = ("tel:", "fax:", "callto:")
 # maximal run of digits with common separators, optionally led by '+'
 _DIGIT_RUN = re.compile(r"\+?\d[\d\s().\-]*")
@@ -32,31 +29,6 @@ _WORD_CHAR = re.compile(r"\w")
 _PHONE_PROXIMITY = 40
 _MIN_DIGITS, _MAX_DIGITS = 7, 15
 _URL_UNSAFE = str.maketrans("", "", "\t\r\n")     # removed from a URL by urlsplit
-
-
-@dataclass(frozen=True)
-class FeatureVector:
-    """The five 0/1 predictors for one website."""
-
-    padlock: int
-    contact: int
-    telephone: int
-    about: int
-    terms: int
-    source_url: Optional[str] = None
-
-    def __post_init__(self):
-        for name in FEATURE_NAMES:
-            if getattr(self, name) not in (0, 1):
-                raise ValueError(f"feature {name!r} must be 0 or 1")
-
-    def as_dict(self) -> dict[str, int]:
-        return {name: getattr(self, name) for name in FEATURE_NAMES}
-
-    def get(self, name: str) -> int:
-        if name not in FEATURE_NAMES:
-            raise MissingFeatureError(f"unknown feature {name!r}")
-        return getattr(self, name)
 
 
 def detect_padlock(snapshot: SiteSnapshot) -> int:

@@ -17,7 +17,6 @@ import re
 import ssl
 import threading
 import urllib.request
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -74,6 +73,9 @@ class FetchPolicy:
     def __post_init__(self):
         if self.timeout <= 0:
             raise ValueError(f"FetchPolicy.timeout must be strictly positive, got {self.timeout!r}")
+        if not self.timeout <= threading.TIMEOUT_MAX:     # NaN, inf, or past what a socket takes
+            raise ValueError(f"FetchPolicy.timeout must be finite and at most "
+                             f"{threading.TIMEOUT_MAX:.0f} s, got {self.timeout!r}")
         if self.offline_root is not None:
             object.__setattr__(self, "offline_root", Path(self.offline_root))
 
@@ -263,7 +265,7 @@ def _candidate_links(landing_url: str, page: PageText, lexicon: KeywordLexicon) 
         return []
     seen: dict[str, None] = {}
     for text, href in page.anchors:
-        if not href or href.startswith(("#", "mailto:", "tel:", "fax:", "callto:", "javascript:")):
+        if not href or href.startswith("#"):
             continue
         try:
             parts = urlsplit(urljoin(landing_url, href))
@@ -299,6 +301,7 @@ def _fetch_live(url: str, policy: FetchPolicy, lexicon: KeywordLexicon) -> SiteS
             return None, exc.reason if isinstance(exc, FetchError) else str(exc)
 
     if candidates:
+        from concurrent.futures import ThreadPoolExecutor   # an offline run starts no thread
         with ThreadPoolExecutor(max_workers=_SECONDARY_WORKERS) as pool:
             for link, (page, reason) in zip(candidates, pool.map(fetch_one, candidates)):
                 if page is None:

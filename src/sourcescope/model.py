@@ -29,9 +29,10 @@ from .errors import (
     SingularDesignError,
     UnknownFeatureError,
 )
-from .features import FEATURE_NAMES, FeatureVector
 
 __all__ = [
+    "FEATURE_NAMES",
+    "FeatureVector",
     "LogitModel",
     "LabeledDataset",
     "CELL_INDEX",
@@ -51,8 +52,35 @@ __all__ = [
     "load_model_file",
 ]
 
+FEATURE_NAMES = ("padlock", "contact", "telephone", "about", "terms")
+
 _DOCUMENT_KEYS = {"version", "intercept", "coefficients", "metadata"}
 _DOCUMENT_VERSION = "1"
+
+
+@dataclass(frozen=True)
+class FeatureVector:
+    """The five 0/1 predictors for one website."""
+
+    padlock: int
+    contact: int
+    telephone: int
+    about: int
+    terms: int
+    source_url: Optional[str] = None
+
+    def __post_init__(self):
+        for name in FEATURE_NAMES:
+            if getattr(self, name) not in (0, 1):
+                raise ValueError(f"feature {name!r} must be 0 or 1")
+
+    def as_dict(self) -> dict[str, int]:
+        return {name: getattr(self, name) for name in FEATURE_NAMES}
+
+    def get(self, name: str) -> int:
+        if name not in FEATURE_NAMES:
+            raise MissingFeatureError(f"unknown feature {name!r}")
+        return getattr(self, name)
 
 
 def sigmoid(z: float) -> float:

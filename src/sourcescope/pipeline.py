@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 import sys
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from operator import itemgetter
 from pathlib import Path
@@ -154,7 +153,7 @@ def score_url(request: ScoreRequest, model: LogitModel, db: KnownDomainDB,
 
 def score_many(requests: Sequence[ScoreRequest], model: LogitModel, db: KnownDomainDB,
                lexicon: Optional[KeywordLexicon] = None) -> list[tuple[ScoreRequest, Optional[ScoreReport], Optional[Exception]]]:
-    """Score a batch concurrently; results keep the input order."""
+    """Score a batch in input order: on threads only when a request is live."""
     lexicon = lexicon or default_lexicon()
 
     def run(request: ScoreRequest):
@@ -163,8 +162,9 @@ def score_many(requests: Sequence[ScoreRequest], model: LogitModel, db: KnownDom
         except Exception as exc:
             return request, None, exc
 
-    if len(requests) <= 1:
+    if all(request.policy.offline_root is not None for request in requests):
         return [run(r) for r in requests]
+    from concurrent.futures import ThreadPoolExecutor   # an offline run starts no thread
     with ThreadPoolExecutor(max_workers=_BATCH_WORKERS) as pool:
         return list(pool.map(run, requests))
 

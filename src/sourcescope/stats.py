@@ -14,6 +14,7 @@ from statistics import NormalDist
 from typing import Optional
 
 from .errors import DomainError, UnknownVariableError, ZeroMarginError
+from .model import FEATURE_NAMES
 
 __all__ = [
     "ContingencyTable2x2",
@@ -32,7 +33,7 @@ __all__ = [
     "RHO_MAX",
 ]
 
-VARIABLES = ("label", "padlock", "contact", "telephone", "about", "terms")
+VARIABLES = ("label", *FEATURE_NAMES)
 
 # Latent-correlation estimates are clamped here instead of failing when a
 # table carries (near-)empty off-diagonal cells.

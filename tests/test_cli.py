@@ -317,6 +317,25 @@ def test_commands_run_without_numpy(dataset_csv, tmp_path):
     assert done.stdout.splitlines()[-1] == "[0, 0, 0] []"
 
 
+def test_offline_batch_loads_no_thread_pool(tmp_path):
+    # an offline batch is scored in the calling thread, so it never loads
+    # concurrent.futures; the start-up set is taken first, as above
+    batch = tmp_path / "urls.txt"
+    batch.write_text("https://demo-reliable.example\nhttps://demo-unreliable.example\n",
+                     encoding="utf-8")
+    env = {**os.environ, "PYTHONPATH": str(Path(sourcescope.__file__).parents[1]),
+           "SOURCESCOPE_OFFLINE": "1"}
+    code = ("import sys\n"
+            "startup = set(sys.modules)\n"
+            "from sourcescope.cli import main\n"
+            f"code = main(['score', '--batch', {str(batch)!r}])\n"
+            "print(code, sorted({'concurrent.futures'} & (set(sys.modules) - startup)))")
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "3 []"
+
+
 def test_pages_are_read_without_html_parser():
     env = {**os.environ, "PYTHONPATH": str(Path(sourcescope.__file__).parents[1]),
            "SOURCESCOPE_OFFLINE": "1"}
@@ -358,6 +377,13 @@ class TestConfigHandling:
                                "--offline-root", str(tmp_path))
         assert code == 4
         assert f"{site / 'manifest.json'}: not valid JSON" in err
+
+    @pytest.mark.parametrize("timeout", ["inf", "1e300", "nan"])
+    def test_timeout_past_the_socket_layer_exit_four(self, capsys, timeout):
+        code, out, err = run_cli(capsys, "score", "http://127.0.0.1:9/", "--timeout", timeout)
+        assert (code, out) == (4, "")
+        assert err.startswith("error: FetchPolicy.timeout must be finite")
+        assert "Traceback" not in err
 
     def test_invalid_threshold_exit_four(self, capsys, offline):
         code, _, _ = run_cli(capsys, "score", "http://en-bare.test",

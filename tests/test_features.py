@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import threading
 from importlib import resources
 
 import pytest
@@ -43,6 +44,14 @@ class TestPolicyAndSnapshot:
     def test_policy_validation(self):
         with pytest.raises(ValueError):
             FetchPolicy(timeout=0)
+
+    @pytest.mark.parametrize("timeout", [float("nan"), float("inf"), 1e300, threading.TIMEOUT_MAX * 2])
+    def test_policy_refuses_timeouts_a_socket_cannot_take(self, timeout):
+        with pytest.raises(ValueError, match=r"^FetchPolicy\.timeout must be finite"):
+            FetchPolicy(timeout=timeout)
+
+    def test_policy_takes_the_longest_timeout_a_socket_takes(self):
+        assert FetchPolicy(timeout=threading.TIMEOUT_MAX).timeout == threading.TIMEOUT_MAX
 
     def test_snapshot_requires_pages(self):
         with pytest.raises(ValueError):

@@ -77,6 +77,8 @@ UNDECLARED = {
                    "café"),
 }
 
+LAG_S = 0.6   # how long a /lag/ landing page waits before it answers
+
 TLS = Path(__file__).parent / "fixtures" / "tls"   # self-signed for IP 127.0.0.1
 
 
@@ -118,6 +120,9 @@ class Handler(BaseHTTPRequestHandler):
         elif self.path == "/slow":
             time.sleep(2.0)
             self._send_html("<html>late</html>")
+        elif self.path.startswith("/lag/"):
+            time.sleep(LAG_S)
+            self._send_html("<html><body><p>late, and no candidate links</p></body></html>")
         elif self.path == "/stall":
             self.send_response(200)
             self.send_header("Content-Type", "text/html")
@@ -163,6 +168,14 @@ class Handler(BaseHTTPRequestHandler):
         else:
             self.send_response(404)
             self.end_headers()
+
+
+def closed_port() -> int:
+    sock = socket.socket()
+    sock.bind(("127.0.0.1", 0))
+    port = sock.getsockname()[1]
+    sock.close()  # nothing listens here now
+    return port
 
 
 @pytest.fixture(scope="module")
@@ -226,12 +239,12 @@ class TestLiveFetch:
             fetch_site(f"{server}/missing", FetchPolicy(timeout=5))
 
     def test_unreachable_port(self):
-        sock = socket.socket()
-        sock.bind(("127.0.0.1", 0))
-        port = sock.getsockname()[1]
-        sock.close()  # nothing listens here now
         with pytest.raises(NetworkUnreachableError):
-            fetch_site(f"http://127.0.0.1:{port}/", FetchPolicy(timeout=2))
+            fetch_site(f"http://127.0.0.1:{closed_port()}/", FetchPolicy(timeout=2))
+
+    def test_longest_timeout_reaches_the_socket(self):
+        with pytest.raises(NetworkUnreachableError):
+            fetch_site(f"http://127.0.0.1:{closed_port()}/", FetchPolicy(timeout=threading.TIMEOUT_MAX))
 
     def test_secondary_page_budget(self, server):
         snap = fetch_site(f"{server}/many", FetchPolicy(timeout=5))
@@ -368,6 +381,21 @@ def test_each_page_is_parsed_once(server, fixture_sites, monkeypatch):
     pages = [(site / name).read_text(encoding="utf-8") for name in ("index.html", "contact.html")]
     assert [fed.count(html) for html in pages] == [1, 1]
     assert len(fed) == 2
+
+
+def test_live_batch_overlaps_its_fetches(server):
+    from sourcescope.model import MODEL_II
+    from sourcescope.pipeline import ScoreRequest, score_many
+    from sourcescope.screener import default_known_domains
+
+    requests = [ScoreRequest(f"{server}/lag/{i}", policy=FetchPolicy(timeout=5)) for i in range(4)]
+    start = time.perf_counter()
+    outcomes = score_many(requests, MODEL_II, default_known_domains())
+    elapsed = time.perf_counter() - start
+    assert [request for request, _, _ in outcomes] == requests
+    assert [error for _, _, error in outcomes] == [None] * 4
+    assert all(report.features.source_url == request.url for request, report, _ in outcomes)
+    assert elapsed < 3 * LAG_S      # four landing pages in series take 4 * LAG_S
 
 
 def test_import_loads_no_third_party_http_client():

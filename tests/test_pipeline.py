@@ -3,6 +3,7 @@
 import csv
 import re
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -120,6 +121,13 @@ class TestScoreUrl:
         assert outcomes[0][1].verdict == "share"
         assert outcomes[1][2] is not None          # fixture missing -> error
         assert outcomes[2][1].path == "mimicry-screen"
+
+    def test_offline_batch_starts_no_thread(self, fixture_sites, monkeypatch):
+        def refuse(thread):
+            raise AssertionError(f"offline batch started {thread!r}")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        self.test_batch_keeps_order_and_captures_errors(fixture_sites)
 
 
 class TestLoadDataset:

@@ -149,6 +149,7 @@ HREFS = [
     "http://www.news.test/legal-notes", "http://sub.news.test/kontakt#x", "http://other.test/contact",
     "https://news.test.evil.test/about", "mailto:contact@news.test", "tel:1-800-CONTACT",
     "TEL:1-800-CONTACT", " tel:about-us", "Callto:terms", "fax:1", "javascript:contact()",
+    "MAILTO:about@news.test", "javascript:location='/about-us'",
     "ftp://news.test/terms", "http://[::1", "http://[oops/about-us", " /terms ", "/x#about",
 ]
 TEXTS = ["", "contact us", "About Us", "who we are", "agb", "read more", "x", "terms of use",
