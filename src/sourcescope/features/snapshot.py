@@ -3,7 +3,8 @@
 A snapshot is the landing page plus up to five same-domain pages whose
 link text or target path matches the lexicon (candidate contact/about/terms
 pages).  Offline mode reads saved HTML from a fixture directory, bounded and
-decoded as live pages are, and performs zero network operations.
+decoded as live pages are, and performs zero network operations.  Live or
+offline, a candidate page that cannot be read is skipped and reported.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import threading
 import urllib.request
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 from urllib.error import URLError
 from urllib.parse import quote, urljoin, urlsplit, urlunsplit
 
@@ -50,7 +51,6 @@ logger = logging.getLogger(__name__)
 
 _REDIRECT_CODES = (301, 302, 303, 307, 308)
 _HTML_TYPES = ("text/html", "application/xhtml+xml")
-_SECONDARY_WORKERS = 4
 _MAX_REDIRECTS = 5
 _MAX_BODY_BYTES = 2_000_000      # live or fixture
 _MAX_SECONDARY_PAGES = 5
@@ -287,35 +287,6 @@ def _candidate_links(landing_url: str, page: PageText, lexicon: KeywordLexicon) 
     return list(seen)
 
 
-def _fetch_live(url: str, policy: FetchPolicy, lexicon: KeywordLexicon) -> SiteSnapshot:
-    landing = Page(_get_html(_complete_url(url), policy))
-    final_url = landing[0]
-    pages = [landing]
-    skipped = []
-    candidates = _candidate_links(final_url, landing.text, lexicon)
-
-    def fetch_one(link: str):
-        try:
-            return _get_html(link, policy), None
-        except Exception as exc:
-            return None, exc.reason if isinstance(exc, FetchError) else str(exc)
-
-    if candidates:
-        from concurrent.futures import ThreadPoolExecutor   # an offline run starts no thread
-        with ThreadPoolExecutor(max_workers=_SECONDARY_WORKERS) as pool:
-            for link, (page, reason) in zip(candidates, pool.map(fetch_one, candidates)):
-                if page is None:
-                    skipped.append((link, reason))
-                else:
-                    pages.append(page)
-    return SiteSnapshot(
-        requested_url=url,
-        final_url=final_url,
-        pages=tuple(pages),
-        skipped_pages=tuple(skipped),
-    )
-
-
 def _force_scheme(url: str, secure: bool) -> str:
     parts = urlsplit(_complete_url(url))
     scheme = "https" if secure else "http"
@@ -341,19 +312,23 @@ def _fixture_dir(root: Path, url: str) -> Path:
     raise NetworkUnreachableError(url, f"no offline fixture under {root}")
 
 
-def _read_fixture_page(path: Path, url: str) -> str:
-    """A saved page's text, by the size bound and decoding of a live page
-    served without a charset header."""
-    with path.open("rb") as handle:
-        body = handle.read(_MAX_BODY_BYTES + 1)
+def _read_fixture_page(site_dir: Path, name: str, url: str) -> str:
+    """The saved page ``name``'s text, by the size bound and decoding of a
+    live page served without a charset header."""
+    try:
+        with (site_dir / name).open("rb") as handle:
+            body = handle.read(_MAX_BODY_BYTES + 1)
+    except (FileNotFoundError, IsADirectoryError):
+        raise NetworkUnreachableError(url, f"no fixture file {name}") from None
     if len(body) > _MAX_BODY_BYTES:
-        raise BodyTooLargeError(url, f"fixture page {path.name} exceeds {_MAX_BODY_BYTES} bytes")
+        raise BodyTooLargeError(url, f"fixture page {name} exceeds {_MAX_BODY_BYTES} bytes")
     return _decode(body, None)
 
 
-def _fetch_offline(url: str, policy: FetchPolicy) -> SiteSnapshot:
-    assert policy.offline_root is not None
-    site_dir = _fixture_dir(policy.offline_root, url)
+def _fixture_source(url: str, root: Path) -> tuple[Page, list[str], Callable[[str], tuple]]:
+    """The saved landing page, the URLs of the pages its manifest lists, and
+    the reader of one of them; a listed name outside the site is refused."""
+    site_dir = _fixture_dir(root, url)
 
     manifest = {}
     manifest_path = site_dir / "manifest.json"
@@ -367,31 +342,55 @@ def _fetch_offline(url: str, policy: FetchPolicy) -> SiteSnapshot:
     secure = bool(manifest.get("final_scheme_secure", requested_scheme == "https"))
     final_url = _force_scheme(manifest.get("final_url", url), secure)
 
-    pages = [(final_url, _read_fixture_page(site_dir / "index.html", final_url))]
-    root = site_dir.resolve()
-    for name in manifest.get("secondary_pages", [])[:_MAX_SECONDARY_PAGES]:
-        page_path = (site_dir / name).resolve()
-        if not page_path.is_relative_to(root):
+    landing = Page((final_url, _read_fixture_page(site_dir, "index.html", final_url)))
+    listed = manifest.get("secondary_pages", [])
+    if not isinstance(listed, list) or not all(isinstance(name, str) for name in listed):
+        raise NetworkUnreachableError(url, f"{manifest_path}: secondary_pages is not a list of names")
+    inside = site_dir.resolve()
+    for name in listed[:_MAX_SECONDARY_PAGES]:
+        if not (site_dir / name).resolve().is_relative_to(inside):
             raise NetworkUnreachableError(url, f"fixture page {name!r} lies outside {site_dir}")
-        if not page_path.is_file():
-            raise NetworkUnreachableError(url, f"fixture lists missing page {name!r}")
-        page_url = urljoin(final_url, name)
-        pages.append((page_url, _read_fixture_page(page_path, page_url)))
-    return SiteSnapshot(
-        requested_url=url,
-        final_url=final_url,
-        pages=tuple(pages),
-    )
+    candidates = [urljoin(final_url, name) for name in listed[:_MAX_SECONDARY_PAGES]]
+    names = dict(zip(candidates, listed))
+    return landing, candidates, lambda page_url: (
+        page_url, _read_fixture_page(site_dir, names[page_url], page_url))
 
 
 def fetch_site(url: str, policy: FetchPolicy,
                lexicon: Optional[KeywordLexicon] = None) -> SiteSnapshot:
     """Fetch a website's landing page plus candidate secondary pages.
 
-    With ``policy.offline_root`` set, the snapshot is read from fixtures
-    and no sockets are opened.
+    Live, the candidates are the landing page's links that show a section,
+    fetched in parallel.  With ``policy.offline_root`` set, they are the
+    pages the fixture's manifest lists, read in this thread, and no sockets
+    are opened.  A candidate that cannot be read is listed in
+    ``skipped_pages`` with its reason.
     """
     _count("snapshots")
-    if policy.offline_root is not None:
-        return _fetch_offline(url, policy)
-    return _fetch_live(url, policy, lexicon or default_lexicon())
+    if policy.offline_root is None:
+        landing = Page(_get_html(_complete_url(url), policy))
+        candidates = _candidate_links(landing[0], landing.text, lexicon or default_lexicon())
+        read = functools.partial(_get_html, policy=policy)
+    else:
+        landing, candidates, read = _fixture_source(url, policy.offline_root)
+
+    def attempt(link: str):
+        try:
+            return read(link), None
+        except Exception as exc:
+            return None, exc.reason if isinstance(exc, FetchError) else str(exc)
+
+    if policy.offline_root is None and candidates:
+        from concurrent.futures import ThreadPoolExecutor   # an offline fetch starts no thread
+        with ThreadPoolExecutor(max_workers=len(candidates)) as pool:
+            results = list(pool.map(attempt, candidates))
+    else:
+        results = map(attempt, candidates)
+    pages, skipped = [landing], []
+    for link, (page, reason) in zip(candidates, results):
+        if page is None:
+            skipped.append((link, reason))
+        else:
+            pages.append(page)
+    return SiteSnapshot(requested_url=url, final_url=landing[0],
+                        pages=tuple(pages), skipped_pages=tuple(skipped))

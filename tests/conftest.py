@@ -32,3 +32,20 @@ def make_snapshot(*pages: str, secure: bool = False, url: str = "http://unit.tes
 @pytest.fixture()
 def snapshot_factory():
     return make_snapshot
+
+
+def write_partial_site(root: Path, secure: bool = False) -> list[tuple[str, str]]:
+    """An offline site, ``partial.test``, whose manifest lists a missing page
+    and a page over the 2 MB bound beside one that reads; returns the
+    ``(url, reason)`` of the two that a fetch must skip."""
+    site = root / "partial.test"
+    site.mkdir(parents=True)
+    (site / "index.html").write_text('<a href="/contact.html">Contact us</a>', encoding="utf-8")
+    (site / "contact.html").write_text("<p>phone: 5550100200</p>", encoding="utf-8")
+    (site / "big.html").write_bytes(b"x" * 2_000_001)
+    (site / "manifest.json").write_text(json.dumps({
+        "final_scheme_secure": secure,
+        "secondary_pages": ["about.html", "big.html", "contact.html"]}), encoding="utf-8")
+    scheme = "https" if secure else "http"
+    return [(f"{scheme}://partial.test/about.html", "no fixture file about.html"),
+            (f"{scheme}://partial.test/big.html", "fixture page big.html exceeds 2000000 bytes")]

@@ -14,6 +14,7 @@ import sourcescope
 from sourcescope import cli
 from sourcescope.cli import build_parser, main
 from sourcescope.features import get_fetch_counters, reset_fetch_counters
+from tests.conftest import write_partial_site
 from tests.synth import balanced_dataset, write_csv
 
 
@@ -377,6 +378,35 @@ class TestConfigHandling:
                                "--offline-root", str(tmp_path))
         assert code == 4
         assert f"{site / 'manifest.json'}: not valid JSON" in err
+
+    @pytest.mark.parametrize("command,secure,exit_code", [
+        ("score", False, 3), ("score", True, 0), ("extract", False, 0)])
+    @pytest.mark.parametrize("mode", ["json", "table"])
+    def test_unreadable_listed_pages_are_reported(self, capsys, tmp_path, command, secure,
+                                                  exit_code, mode):
+        skipped = write_partial_site(tmp_path, secure)
+        code, out, err = run_cli(capsys, command, "http://partial.test", "--output-mode", mode,
+                                 "--offline-root", str(tmp_path))
+        assert (code, err) == (exit_code, "")
+        if mode == "json":
+            payload = json.loads(out)
+            assert payload["skipped_pages"] == [{"url": url, "reason": reason}
+                                                for url, reason in skipped]
+        else:
+            assert out.endswith("  (skipped " + ", ".join(f"{url}: {reason}"
+                                                          for url, reason in skipped) + ")\n")
+
+    def test_missing_offline_root_exit_four(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, "score", "http://en-full.test",
+                                 "--offline-root", str(tmp_path / "missing"))
+        assert (code, out) == (4, "")
+        assert err == f"error: offline root not found: {tmp_path / 'missing'}\n"
+
+    def test_score_without_url_or_batch_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["score"])
+        assert exit_info.value.code == 2
+        assert "score needs a URL or --batch FILE" in capsys.readouterr().err
 
     @pytest.mark.parametrize("timeout", ["inf", "1e300", "nan"])
     def test_timeout_past_the_socket_layer_exit_four(self, capsys, timeout):

@@ -13,6 +13,7 @@ import itertools
 import numpy as np
 import pytest
 
+from sourcescope import model
 from sourcescope.diagnostics import confusion_matrix, vif, wald_tests
 from sourcescope.features import FEATURE_NAMES
 from sourcescope.model import (
@@ -169,6 +170,27 @@ def test_fit_and_diagnostics_match_row_reference(seed, n, features):
     for cutoff in (0.3, 0.5, 0.8):
         assert (confusion_matrix(fit.model, data, cutoff).counts()
                 == reference_confusion(rows, fit.model, cutoff))
+
+
+# model2 cells where a full Newton step lowers the likelihood three times
+HALVING_CELLS = {4: 5, 5: 2, 11: 2, 19: 55, 30: 50, 37: 400, 43: 400, 45: 1, 48: 1, 51: 2, 58: 400}
+
+
+def test_step_halving_fit_matches_row_reference(monkeypatch):
+    data = LabeledDataset.from_counts([HALVING_CELLS.get(i, 0) for i in range(64)])
+    X = np.array([[1.0, *bits] for bits in data.feature_matrix(MODEL_II_FEATURES)])
+    y = np.array(data.labels(), dtype=float)
+    beta, lnl, iterations = reference_fit(X, y)
+
+    calls = []
+    counted = model._log_likelihood
+    monkeypatch.setattr(model, "_log_likelihood", lambda *args: calls.append(1) or counted(*args))
+    fit = fit_logit(data, MODEL_II_FEATURES)
+    assert fit.iterations == iterations
+    assert len(calls) > 1 + iterations       # the start, one per step, and one per halving
+    got = np.array([fit.model.intercept, *fit.model.coefficients.values()])
+    assert np.max(np.abs(got - beta)) < TOL
+    assert abs(fit.log_likelihood - lnl) < TOL
 
 
 @pytest.mark.parametrize("seed,n", CASES)

@@ -365,6 +365,14 @@ class TestOfflineFetch:
         with pytest.raises(NetworkUnreachableError, match="lies outside"):
             fetch_site("http://escape.test", FetchPolicy(offline_root=tmp_path / "root"))
 
+    @pytest.mark.parametrize("listed", ["contact.html", [5], {"contact.html": 1}])
+    def test_secondary_pages_must_be_a_list_of_names(self, tmp_path, listed):
+        (tmp_path / "index.html").write_text(page("<p>landing</p>"), encoding="utf-8")
+        (tmp_path / "manifest.json").write_text(
+            json.dumps({"secondary_pages": listed}), encoding="utf-8")
+        with pytest.raises(NetworkUnreachableError, match="secondary_pages is not a list of names"):
+            fetch_site("http://solo.test", FetchPolicy(offline_root=tmp_path))
+
     def test_missing_fixture(self, tmp_path):
         with pytest.raises(NetworkUnreachableError):
             fetch_site("http://nowhere.test", FetchPolicy(offline_root=tmp_path))

@@ -89,9 +89,10 @@ class Handler(BaseHTTPRequestHandler):
     def _send_html(self, body: str, content_type="text/html; charset=utf-8"):
         self._send_bytes(body.encode("utf-8"), content_type)
 
-    def _send_bytes(self, payload: bytes, content_type: str):
+    def _send_bytes(self, payload: bytes, content_type):
         self.send_response(200)
-        self.send_header("Content-Type", content_type)
+        if content_type:
+            self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(payload)))
         self.end_headers()
         self.wfile.write(payload)
@@ -150,6 +151,18 @@ class Handler(BaseHTTPRequestHandler):
             # the raw UTF-8 bytes of /über-uns, as servers commonly send them
             self.send_header("Location", "/über-uns".encode("utf-8").decode("iso-8859-1"))
             self.end_headers()
+        elif self.path == "/moved-latin1":
+            self.send_response(301)
+            # /café as ISO-8859-1 bytes, which do not decode as UTF-8
+            self.send_header("Location", "/café")
+            self.end_headers()
+        elif self.path == "/no-location":
+            self.send_response(302)
+            self.end_headers()
+        elif self.path == "/untyped":
+            self._send_bytes(ABOUT.encode("utf-8"), content_type=None)
+        elif self.path == "/untyped-pdf":
+            self._send_bytes(b"%PDF-1.4 not really html", content_type=None)
         elif self.path == "/intl":
             self._send_html(INTL)
         elif self.path == "/partial":
@@ -160,7 +173,7 @@ class Handler(BaseHTTPRequestHandler):
             self._send_html(MANY)
         elif self.path.startswith("/contact-"):
             self._send_html(CONTACT)
-        elif self.path in ("/%C3%BCber-uns", "/contact%20us.html"):
+        elif self.path in ("/%C3%BCber-uns", "/contact%20us.html", "/caf%C3%A9"):
             self._send_html(ABOUT)
         elif self.path == "/missing":
             self.send_response(404)
@@ -298,6 +311,39 @@ class TestLiveFetch:
     def test_redirect_to_non_ascii_path(self, server):
         snap = fetch_site(f"{server}/moved-intl", FetchPolicy(timeout=5))
         assert snap.final_url == f"{server}/über-uns"
+
+    def test_untyped_html_body_is_accepted(self, server):
+        snap = fetch_site(f"{server}/untyped", FetchPolicy(timeout=5))
+        assert snap.pages[0] == (f"{server}/untyped", ABOUT)
+
+    def test_untyped_body_that_is_not_html_is_refused(self, server):
+        with pytest.raises(NonHtmlContentError, match="does not look like HTML"):
+            fetch_site(f"{server}/untyped-pdf", FetchPolicy(timeout=5))
+
+    def test_redirect_without_location(self, server):
+        with pytest.raises(NetworkUnreachableError, match="redirect without Location") as excinfo:
+            fetch_site(f"{server}/no-location", FetchPolicy(timeout=5))
+        assert excinfo.value.url == f"{server}/no-location"
+
+    def test_location_that_is_not_utf8_reads_as_latin1(self, server):
+        snap = fetch_site(f"{server}/moved-latin1", FetchPolicy(timeout=5))
+        assert snap.final_url == f"{server}/café"
+        assert snap.pages[0][1] == ABOUT
+
+    def test_candidate_pages_are_read_as_wide_as_their_list(self, server, monkeypatch):
+        import concurrent.futures
+
+        widths = []
+
+        class RecordingPool(concurrent.futures.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                widths.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
+        for path in ("/", "/many", "/cp1252"):
+            fetch_site(f"{server}{path}", FetchPolicy(timeout=5))
+        assert widths == [2, 5]
 
     def test_unparseable_link_is_skipped(self, server):
         snap = fetch_site(f"{server}/badlink", FetchPolicy(timeout=5))
