@@ -13,21 +13,13 @@ import json
 import os
 import sys
 from dataclasses import asdict
-from importlib import resources
 from pathlib import Path
 from typing import Optional
 
 from . import __version__
 from .errors import EmptyDataError, EstimationError, SourceScopeError
-from .features import (
-    FEATURE_NAMES,
-    FetchPolicy,
-    KeywordLexicon,
-    default_lexicon,
-    features_from_snapshot,
-    fetch_site,
-    load_lexicon,
-)
+from .features import FEATURE_NAMES, FetchPolicy, features_from_snapshot, fetch_site, load_lexicon
+from .files import DATA, read_lines
 from .model import MODEL_II, load_model_file
 from .pipeline import (
     AnalysisReport,
@@ -38,7 +30,7 @@ from .pipeline import (
     score_url,
     train,
 )
-from .screener import KnownDomainDB, default_known_domains, load_known_domains, mimicry_check, normalize_domain
+from .screener import load_known_domains, mimicry_check, normalize_domain
 
 EXIT_SHARE = 0
 EXIT_WITHHOLD = 3
@@ -55,18 +47,10 @@ def _policy(args: argparse.Namespace) -> FetchPolicy:
     for the demo fixtures shipped in the package."""
     offline_root = args.offline_root
     if offline_root is None and os.environ.get("SOURCESCOPE_OFFLINE") == "1":
-        offline_root = Path(str(resources.files("sourcescope.data").joinpath("fixtures")))
+        offline_root = DATA / "fixtures"
     if offline_root is not None and not Path(offline_root).is_dir():
         raise FileNotFoundError(f"offline root not found: {offline_root}")
     return FetchPolicy(timeout=args.timeout, offline_root=offline_root)
-
-
-def _lexicon(args: argparse.Namespace) -> KeywordLexicon:
-    return load_lexicon(args.lexicon) if args.lexicon else default_lexicon()
-
-
-def _known_domains(args: argparse.Namespace) -> KnownDomainDB:
-    return load_known_domains(args.known_domains) if args.known_domains else default_known_domains()
 
 
 # --------------------------------------------------------------------------
@@ -146,7 +130,8 @@ def _report_line(report, url: str, with_url: bool) -> str:
 
 def _cmd_score(args: argparse.Namespace) -> int:
     model = load_model_file(args.model) if args.model else MODEL_II
-    known_domains, lexicon, policy = _known_domains(args), _lexicon(args), _policy(args)
+    known_domains, lexicon = load_known_domains(args.known_domains), load_lexicon(args.lexicon)
+    policy = _policy(args)
     if not args.batch:
         report = score_url(ScoreRequest(url=args.url, threshold=args.threshold, policy=policy),
                            model, known_domains, lexicon)
@@ -154,12 +139,8 @@ def _cmd_score(args: argparse.Namespace) -> int:
               [_report_line(report, args.url, with_url=False)])
         return EXIT_WITHHOLD if report.verdict == "withhold" else EXIT_SHARE
 
-    urls = [line.split("#", 1)[0].strip()
-            for line in Path(args.batch).read_text(encoding="utf-8-sig").splitlines()]
-    urls = [u for u in urls if u]
-    if not urls:
-        raise EmptyDataError(f"no URLs in {args.batch}")
-    requests = [ScoreRequest(url=u, threshold=args.threshold, policy=policy) for u in urls]
+    requests = [ScoreRequest(url=u, threshold=args.threshold, policy=policy)
+                for u in read_lines(args.batch, EmptyDataError, "URLs")]
     outcomes = score_many(requests, model, known_domains, lexicon)
 
     worst = EXIT_SHARE
@@ -180,7 +161,7 @@ def _cmd_score(args: argparse.Namespace) -> int:
 
 
 def _cmd_extract(args: argparse.Namespace) -> int:
-    lexicon = _lexicon(args)
+    lexicon = load_lexicon(args.lexicon)
     snapshot = fetch_site(args.url, _policy(args), lexicon)
     features = features_from_snapshot(snapshot, lexicon, source_url=args.url)
     payload = features.as_dict()
@@ -191,7 +172,7 @@ def _cmd_extract(args: argparse.Namespace) -> int:
 
 
 def _cmd_screen(args: argparse.Namespace) -> int:
-    known_domains = _known_domains(args)
+    known_domains = load_known_domains(args.known_domains)
     domain = normalize_domain(args.url)
     verdict = mimicry_check(domain, known_domains)
     if verdict.outcome == "Mimic":
@@ -326,14 +307,16 @@ def build_parser() -> argparse.ArgumentParser:
     output.add_argument("--report-json", dest="report_json",
                         help="also write the report as JSON to this path")
     fetching = argparse.ArgumentParser(add_help=False)
-    fetching.add_argument("--lexicon", help="path to a lexicon JSON file (default: builtin)")
+    fetching.add_argument("--lexicon", default=DATA / "lexicon.json",
+                          help="path to a lexicon JSON file (default: the builtin one)")
     fetching.add_argument("--offline-root", dest="offline_root",
                           help="fixture directory; no sockets are opened when set")
     fetching.add_argument("--timeout", type=float, default=10.0,
                           help="per-request timeout in seconds (default 10)")
     screening = argparse.ArgumentParser(add_help=False)
     screening.add_argument("--known-domains", dest="known_domains",
-                           help="path to a known-domains list (default: builtin)")
+                           default=DATA / "known_domains.txt",
+                           help="path to a known-domains list (default: the builtin one)")
 
     p_score = sub.add_parser("score", parents=[output, fetching, screening],
                              help="screen, extract and score one URL (or a batch)")

@@ -13,16 +13,15 @@ section, for the detectors and for picking candidate pages alike.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from importlib import resources
 from pathlib import Path
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from ..errors import LexiconError
+from ..files import DATA, read_json_object
 from .html_text import normalize_text
 
 __all__ = ["KeywordLexicon", "SECTION_KINDS", "load_lexicon", "default_lexicon"]
@@ -96,40 +95,27 @@ class KeywordLexicon:
         return [kind for kind in kinds if any(p in region for p in phrases[kind])]
 
 
-def _lexicon_from_mapping(raw: Mapping, origin: str) -> KeywordLexicon:
-    try:
-        languages = tuple(raw["languages"])
-        telephone = tuple(raw["telephone_keywords"])
-        tables = {}
-        for kind in SECTION_KINDS:
-            tables[kind] = {
-                lang: tuple(phrases) for lang, phrases in dict(raw[kind]).items()
-            }
-    except (KeyError, TypeError) as exc:
-        raise LexiconError(f"{origin}: malformed lexicon document ({exc})") from None
-    return KeywordLexicon(
-        contact=tables["contact"],
-        about=tables["about"],
-        terms=tables["terms"],
-        telephone_keywords=telephone,
-        languages=languages,
-    )
-
-
 def load_lexicon(path: str | Path) -> KeywordLexicon:
     """Load a lexicon from a UTF-8 JSON file, with or without a byte-order mark."""
+    raw = read_json_object(path, LexiconError)
+
+    def strings(where: str, value) -> tuple[str, ...]:
+        if isinstance(value, list) and all(isinstance(item, str) for item in value):
+            return tuple(value)
+        raise LexiconError(f"{path}: {where} is not a list of strings")
+
     try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8-sig"))
-    except json.JSONDecodeError as exc:
-        raise LexiconError(f"{path}: not valid JSON ({exc})") from None
-    if not isinstance(raw, dict):
-        raise LexiconError(f"{path}: lexicon document must be a JSON object")
-    return _lexicon_from_mapping(raw, str(path))
+        languages = strings("languages", raw["languages"])
+        telephone = strings("telephone_keywords", raw["telephone_keywords"])
+        tables = {kind: {lang: strings(f"{kind}/{lang}", phrases)
+                         for lang, phrases in dict(raw[kind]).items()}
+                  for kind in SECTION_KINDS}
+    except (KeyError, TypeError) as exc:
+        raise LexiconError(f"{path}: malformed lexicon document ({exc})") from None
+    return KeywordLexicon(telephone_keywords=telephone, languages=languages, **tables)
 
 
 @lru_cache(maxsize=1)
 def default_lexicon() -> KeywordLexicon:
     """The packaged five-language lexicon."""
-    raw = json.loads(
-        resources.files("sourcescope.data").joinpath("lexicon.json").read_text("utf-8"))
-    return _lexicon_from_mapping(raw, "builtin lexicon")
+    return load_lexicon(DATA / "lexicon.json")

@@ -12,7 +12,6 @@ from __future__ import annotations
 import codecs
 import functools
 import http.client
-import json
 import logging
 import re
 import ssl
@@ -33,6 +32,7 @@ from ..errors import (
     TooManyRedirectsError,
     UnparseableUrlError,
 )
+from ..files import read_json_object
 from ..screener import normalize_domain
 from .html_text import PageText, normalize_text, parse_page
 from .lexicon import KeywordLexicon, default_lexicon
@@ -329,23 +329,22 @@ def _fixture_source(url: str, root: Path) -> tuple[Page, list[str], Callable[[st
     """The saved landing page, the URLs of the pages its manifest lists, and
     the reader of one of them; a listed name outside the site is refused."""
     site_dir = _fixture_dir(root, url)
-
-    manifest = {}
     manifest_path = site_dir / "manifest.json"
-    if manifest_path.is_file():
-        try:
-            manifest = json.loads(manifest_path.read_text(encoding="utf-8-sig"))
-        except json.JSONDecodeError as exc:
-            raise NetworkUnreachableError(url, f"{manifest_path}: not valid JSON ({exc})") from None
+    refuse = functools.partial(NetworkUnreachableError, url)
+    manifest = read_json_object(manifest_path, refuse) if manifest_path.is_file() else {}
 
-    requested_scheme = urlsplit(_complete_url(url)).scheme
-    secure = bool(manifest.get("final_scheme_secure", requested_scheme == "https"))
-    final_url = _force_scheme(manifest.get("final_url", url), secure)
+    secure = manifest.get("final_scheme_secure", urlsplit(_complete_url(url)).scheme == "https")
+    if not isinstance(secure, bool):
+        raise refuse(f"{manifest_path}: final_scheme_secure is not true or false")
+    final_url = manifest.get("final_url", url)
+    if not isinstance(final_url, str):
+        raise refuse(f"{manifest_path}: final_url is not a string")
+    final_url = _force_scheme(final_url, secure)
 
     landing = Page((final_url, _read_fixture_page(site_dir, "index.html", final_url)))
     listed = manifest.get("secondary_pages", [])
     if not isinstance(listed, list) or not all(isinstance(name, str) for name in listed):
-        raise NetworkUnreachableError(url, f"{manifest_path}: secondary_pages is not a list of names")
+        raise refuse(f"{manifest_path}: secondary_pages is not a list of names")
     inside = site_dir.resolve()
     for name in listed[:_MAX_SECONDARY_PAGES]:
         if not (site_dir / name).resolve().is_relative_to(inside):

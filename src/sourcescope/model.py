@@ -29,6 +29,7 @@ from .errors import (
     SingularDesignError,
     UnknownFeatureError,
 )
+from .files import read_json_object
 
 __all__ = [
     "FEATURE_NAMES",
@@ -461,12 +462,7 @@ def _parse_constant(token: str):
 
 
 def load_model_file(path: str | Path) -> LogitModel:
-    try:
-        document = json.loads(Path(path).read_text(encoding="utf-8-sig"),
-                              parse_constant=_parse_constant)
-    except json.JSONDecodeError as exc:
-        raise ModelDocumentError(f"{path}: not valid JSON ({exc})") from None
-    return load_model(document)
+    return load_model(read_json_object(path, ModelDocumentError, parse_constant=_parse_constant))
 
 
 def save_model_file(model: LogitModel, path: str | Path) -> None:

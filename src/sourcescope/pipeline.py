@@ -35,6 +35,7 @@ from .features import (
     features_from_snapshot,
     fetch_site,
 )
+from .files import not_utf8
 from .model import (
     CELL_INDEX,
     FEATURE_SUBSETS,
@@ -263,8 +264,7 @@ def _count_csv(path: Path) -> list[int]:
             _validate_header(header, path)
             return _count_rows(reader, len(header), path)
         except UnicodeDecodeError as exc:
-            raise NotUtf8Error(
-                f"{path}: not UTF-8 text (byte 0x{exc.object[exc.start]:02x}: {exc.reason})") from None
+            raise NotUtf8Error(not_utf8(path, exc)) from None
         except csv.Error as exc:
             raise DatasetError(f"{path}:{reader.line_num}: {exc}") from None
 

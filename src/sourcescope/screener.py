@@ -23,12 +23,12 @@ copies"; there is no single canonical one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from importlib import resources
 from pathlib import Path
 from typing import Optional
 from urllib.parse import urlsplit
 
 from .errors import EmptyDatabaseError, UnparseableUrlError
+from .files import DATA, read_lines
 
 __all__ = [
     "KnownDomainDB",
@@ -343,22 +343,12 @@ def mimicry_check(domain: str, db: KnownDomainDB) -> MimicryVerdict:
     return MimicryVerdict("Mimic", matched_target=best[1], reason=best[2])
 
 
-def _domain_list(text: str, source: str) -> KnownDomainDB:
-    """A domain list's database: one domain per line, ``#`` comments allowed."""
-    entries = tuple(entry for line in text.splitlines()
-                    if (entry := line.split("#", 1)[0].strip()))
-    if not entries:
-        raise EmptyDatabaseError(f"no domains in {source}")
-    return KnownDomainDB(entries)
-
-
 def load_known_domains(path: str | Path) -> KnownDomainDB:
     """Load a domain list: UTF-8 with or without a byte-order mark, one
     domain per line, ``#`` comments allowed."""
-    return _domain_list(Path(path).read_text(encoding="utf-8-sig"), str(path))
+    return KnownDomainDB(read_lines(path, EmptyDatabaseError, "domains"))
 
 
 def default_known_domains() -> KnownDomainDB:
     """The packaged seed list of established outlets."""
-    text = resources.files("sourcescope.data").joinpath("known_domains.txt").read_text("utf-8")
-    return _domain_list(text, "the builtin list")
+    return load_known_domains(DATA / "known_domains.txt")

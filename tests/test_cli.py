@@ -103,6 +103,22 @@ class TestScoreCommand:
         assert (code, out) == (4, "")
         assert f"no URLs in {urls}" in err
 
+    @pytest.mark.parametrize("mode", ["table", "json"])
+    def test_known_outlet_carries_the_exact_hit_note(self, capsys, tmp_path, mode):
+        site = tmp_path / "nbcnews.com"
+        site.mkdir()
+        (site / "index.html").write_text("<p>hi</p>", encoding="utf-8")
+        code, out, err = run_cli(capsys, "score", "https://nbcnews.com", "--output-mode", mode,
+                                 "--offline-root", str(tmp_path))
+        note = "recognized established domain nbcnews.com"
+        assert (code, err) == (3, "")
+        if mode == "json":
+            payload = json.loads(out)
+            assert (payload["path"], payload["note"]) == ("logit-model", note)
+        else:
+            assert out.endswith("  [logit-model]  padlock=1 contact=0 telephone=0 about=0 terms=0"
+                                f"  ({note})\n")
+
     def test_malformed_link_does_not_stop_scoring(self, capsys, offline):
         # the page's one unparseable link is skipped; the rest still set every bit
         code, out, err = run_cli(capsys, "score", "https://malformed-link.test",
@@ -379,6 +395,39 @@ class TestConfigHandling:
         assert code == 4
         assert f"{site / 'manifest.json'}: not valid JSON" in err
 
+    @pytest.mark.parametrize("manifest,refusal", [
+        ("[]", "not a JSON object"),
+        ('{"final_url": 5}', "final_url is not a string"),
+        ('{"final_scheme_secure": "no"}', "final_scheme_secure is not true or false")])
+    @pytest.mark.parametrize("command", ["score", "extract"])
+    def test_manifest_field_types_exit_four(self, capsys, tmp_path, command, manifest, refusal):
+        site = tmp_path / "broken.test"
+        site.mkdir()
+        (site / "index.html").write_text("<p>hi</p>", encoding="utf-8")
+        (site / "manifest.json").write_text(manifest, encoding="utf-8")
+        code, out, err = run_cli(capsys, command, "http://broken.test",
+                                 "--offline-root", str(tmp_path))
+        assert (code, out) == (4, "")
+        assert err == f"error: {site / 'manifest.json'}: {refusal} (http://broken.test)\n"
+
+    @pytest.mark.parametrize("flag", ["--known-domains", "--lexicon", "--model", "--batch",
+                                      "manifest"])
+    def test_input_not_utf8_exit_four_naming_the_file(self, capsys, offline, tmp_path, flag):
+        if flag == "manifest":
+            site = tmp_path / "c.test"
+            site.mkdir()
+            (site / "index.html").write_text("<p>hi</p>", encoding="utf-8")
+            path = site / "manifest.json"
+            argv = ["http://c.test", "--offline-root", str(tmp_path)]
+        else:
+            path = tmp_path / "input"
+            argv = [*(["--batch"] if flag == "--batch" else ["https://en-full.test", flag]),
+                    str(path), *offline]
+        path.write_bytes(b"# caf\xe9\n")
+        code, out, err = run_cli(capsys, "score", *argv)
+        assert (code, out) == (4, "")
+        assert err.startswith(f"error: {path}: not UTF-8 text (byte 0xe9: invalid continuation byte)")
+
     @pytest.mark.parametrize("command,secure,exit_code", [
         ("score", False, 3), ("score", True, 0), ("extract", False, 0)])
     @pytest.mark.parametrize("mode", ["json", "table"])
@@ -478,7 +527,7 @@ def _refuse(*args, **kwargs):
 class TestLoaders:
     def test_dataset_commands_build_no_scoring_inputs(self, capsys, monkeypatch,
                                                       dataset_csv, tmp_path):
-        for name in ("default_lexicon", "default_known_domains", "load_model_file"):
+        for name in ("load_lexicon", "load_known_domains", "load_model_file"):
             monkeypatch.setattr(cli, name, _refuse)
         code, _, _ = run_cli(capsys, "train", str(dataset_csv),
                              "--model-out", str(tmp_path / "m.json"))
@@ -487,7 +536,7 @@ class TestLoaders:
         assert code == 0
 
     def test_screen_builds_no_lexicon_or_model(self, capsys, monkeypatch):
-        for name in ("default_lexicon", "load_model_file"):
+        for name in ("load_lexicon", "load_model_file"):
             monkeypatch.setattr(cli, name, _refuse)
         code, out, _ = run_cli(capsys, "screen", "nbcnews.com.co")
         assert code == 3

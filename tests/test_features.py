@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import re
 import threading
 from importlib import resources
 
@@ -28,6 +29,11 @@ from sourcescope.features import (
 from tests.conftest import make_snapshot
 
 LEX = default_lexicon()
+# the English phrases every lexicon must keep, and a key left out of a document
+_SEEDS = {"contact": ["contact us", "connect with us", "gives us a tip"],
+          "about": ["about us", "information", "who we are"],
+          "terms": ["terms and conditions", "terms", "legal notes", "terms of use"]}
+_MISSING = object()
 
 
 def page(body: str, title: str = "t") -> str:
@@ -312,6 +318,41 @@ class TestLexicon:
         path.write_text("{not json", encoding="utf-8")
         with pytest.raises(LexiconError):
             load_lexicon(path)
+
+    @pytest.mark.parametrize("changes,message", [
+        ({"languages": []}, "lexicon declares no languages"),
+        ({"about": {"en": _SEEDS["about"], "it": ["chi siamo"]}},
+         "about: language 'it' not declared in 'languages'"),
+        ({"terms": {"en": [*_SEEDS["terms"], " "]}}, "terms/en: empty phrase"),
+        ({"contact": {"en": ["contact us"]}},
+         "contact: lexicon must keep English seed phrases ['connect with us', 'gives us a tip']"),
+        ({"telephone_keywords": []}, "lexicon declares no telephone keywords"),
+        ({"telephone_keywords": ["phone", "\t"]}, "empty telephone keyword"),
+        ({"languages": "en"}, ": languages is not a list of strings"),
+        ({"telephone_keywords": "phone"}, ": telephone_keywords is not a list of strings"),
+        ({"contact": {"en": [*_SEEDS["contact"], 5]}}, ": contact/en is not a list of strings"),
+        ({"contact": None}, ": malformed lexicon document ("),
+        ({"terms": _MISSING}, ": malformed lexicon document ('terms')"),
+    ])
+    def test_document_refusals(self, tmp_path, changes, message):
+        raw = {"languages": ["en"], **{kind: {"en": phrases} for kind, phrases in _SEEDS.items()},
+               "telephone_keywords": ["phone"], **changes}
+        path = tmp_path / "lexicon.json"
+        path.write_text(json.dumps({k: v for k, v in raw.items() if v is not _MISSING}),
+                        encoding="utf-8")
+        with pytest.raises(LexiconError) as refusal:
+            load_lexicon(path)
+        assert message in str(refusal.value)
+        if message.startswith(":"):
+            assert str(refusal.value).startswith(f"{path}: ")
+
+    @pytest.mark.parametrize("text,message", [("[]", "JSON object"), ("{not json", ": not valid JSON")])
+    def test_file_refusals_name_the_file(self, tmp_path, text, message):
+        path = tmp_path / "lexicon.json"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(LexiconError, match=re.escape(message)) as refusal:
+            load_lexicon(path)
+        assert str(refusal.value).startswith(f"{path}")
 
 
 class TestOfflineFetch:

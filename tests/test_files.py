@@ -1,0 +1,59 @@
+"""The readers of list and JSON inputs, and the packaged data read through
+the same loaders as a user's files."""
+
+import re
+
+import pytest
+
+from sourcescope.features import default_lexicon, load_lexicon
+from sourcescope.files import DATA, read_json_object, read_lines
+from sourcescope.screener import default_known_domains, load_known_domains
+
+
+class Refused(Exception):
+    pass
+
+
+def test_builtin_lexicon_is_the_data_file_loaded():
+    assert default_lexicon() == load_lexicon(DATA / "lexicon.json")
+
+
+def test_builtin_domain_list_is_the_data_file_loaded():
+    assert default_known_domains() == load_known_domains(DATA / "known_domains.txt")
+
+
+def test_lines_skip_comments_and_blanks(tmp_path):
+    path = tmp_path / "list.txt"
+    path.write_text("\ufeff# heading\n a.test \n\nb.test  # note\r\n#\n", encoding="utf-8")
+    assert read_lines(path, Refused, "entries") == ["a.test", "b.test"]
+
+
+def test_lines_without_an_entry_refused(tmp_path):
+    path = tmp_path / "list.txt"
+    path.write_text("# only a comment\n\n", encoding="utf-8")
+    with pytest.raises(Refused, match=f"^no entries in {re.escape(str(path))}$"):
+        read_lines(path, Refused, "entries")
+
+
+@pytest.mark.parametrize("read", [lambda path: read_lines(path, Refused, "entries"),
+                                  lambda path: read_json_object(path, Refused)])
+def test_text_not_utf8_refused_with_its_path(tmp_path, read):
+    path = tmp_path / "input"
+    path.write_bytes(b'{"a": "caf\xe9"}\n')
+    with pytest.raises(Refused, match=rf"^{re.escape(str(path))}: not UTF-8 text \(byte 0xe9: "):
+        read(path)
+
+
+def test_json_object_with_byte_order_mark_and_options(tmp_path):
+    path = tmp_path / "doc.json"
+    path.write_text('\ufeff{"a": [1, NaN]}', encoding="utf-8")
+    assert read_json_object(path, Refused, parse_constant=str) == {"a": [1, "NaN"]}
+
+
+@pytest.mark.parametrize("text,refusal", [("[]", "not a JSON object"), ('"x"', "not a JSON object"),
+                                          ("{", "not valid JSON (")])
+def test_json_other_than_an_object_refused_with_its_path(tmp_path, text, refusal):
+    path = tmp_path / "doc.json"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(Refused, match=f"^{re.escape(f'{path}: {refusal}')}"):
+        read_json_object(path, Refused)

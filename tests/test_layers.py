@@ -1,6 +1,6 @@
-"""The model layer stands below the scoring flow: the errors, the model and
-the statistics import nothing from feature extraction, the screener, the
-pipeline or the CLI."""
+"""The model layer stands below the scoring flow: the errors, the file
+readers, the model and the statistics import nothing from feature
+extraction, the screener, the pipeline or the CLI."""
 
 import ast
 from pathlib import Path
@@ -10,7 +10,7 @@ import pytest
 import sourcescope
 
 PACKAGE = Path(sourcescope.__file__).parent
-LOWER = ["errors", "model", "stats", "diagnostics"]
+LOWER = ["errors", "files", "model", "stats", "diagnostics"]
 UPPER = {"features", "screener", "pipeline", "cli"}
 
 
@@ -37,3 +37,7 @@ def package_imports(module: str) -> set[str]:
 def test_lower_layers_import_no_upper_layer(module):
     assert package_imports(module) & UPPER == set()
 
+
+
+def test_file_readers_import_nothing_from_the_package():
+    assert package_imports("files") == set()

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -316,11 +317,53 @@ class TestSerialization:
         with pytest.raises(NonFiniteValueError):
             load_model_file(path)
 
+    @pytest.mark.parametrize("change,message", [
+        (lambda d: d.update(coefficients=[]), "'coefficients' must be an object"),
+        (lambda d: d.update(version="2"), "unsupported document version '2'"),
+        (lambda d: d.update(intercept="1.0"), "intercept must be a number"),
+        (lambda d: d["coefficients"].update(padlock=True), "coefficient 'padlock' must be a number"),
+        (lambda d: d.update(metadata=5), "'metadata' must be a string or null"),
+    ])
+    def test_off_schema_values_rejected(self, change, message):
+        document = save_model(MODEL_II)
+        change(document)
+        with pytest.raises(ModelDocumentError, match=re.escape(message)):
+            load_model(document)
+
+    def test_non_object_document_rejected(self, tmp_path):
+        with pytest.raises(ModelDocumentError, match="JSON object"):
+            load_model([])
+        path = tmp_path / "model.json"
+        path.write_text("[]", encoding="utf-8")
+        with pytest.raises(ModelDocumentError, match="JSON object"):
+            load_model_file(path)
+
+    def test_invalid_json_file_names_the_file(self, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text('{"intercept": ', encoding="utf-8")
+        with pytest.raises(ModelDocumentError, match=rf"^{re.escape(str(path))}: not valid JSON"):
+            load_model_file(path)
+
     def test_unwritable_target_leaves_nothing(self, tmp_path):
         target_dir = tmp_path / "missing"
         with pytest.raises(OSError):
             save_model_file(MODEL_II, target_dir / "model.json")
         assert not target_dir.exists()
+
+    def test_failed_replace_removes_the_temp_file(self, tmp_path):
+        target = tmp_path / "model.json"
+        target.mkdir()                      # the written file cannot replace a directory
+        with pytest.raises(OSError):
+            save_model_file(MODEL_II, target)
+        assert list(tmp_path.iterdir()) == [target]
+
+    def test_interrupted_write_removes_the_temp_file(self, tmp_path, monkeypatch):
+        def interrupt(*args, **kwargs):
+            raise KeyboardInterrupt
+        monkeypatch.setattr(json, "dump", interrupt)
+        with pytest.raises(KeyboardInterrupt):
+            save_model_file(MODEL_II, tmp_path / "model.json")
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestOptions:

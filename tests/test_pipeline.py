@@ -217,6 +217,16 @@ class TestLoadDataset:
         with pytest.raises(MissingColumnError, match="terms"):
             load_dataset(path)
 
+    @pytest.mark.parametrize("header", ["padlock,label,contact,telephone,about,terms",
+                                        "label,padlock,contact,telephone,about,terms,extra"])
+    def test_header_must_be_exact(self, tmp_path, header):
+        path = tmp_path / "data.csv"
+        path.write_text(f"{header}\n1,0,0,0,0,0\n", encoding="utf-8")
+        expected = (f"{path}: header must be exactly label,padlock,contact,telephone,about,terms"
+                    f"[,url]; got {header}")
+        with pytest.raises(MissingColumnError, match=f"^{re.escape(expected)}$"):
+            load_dataset(path)
+
     def test_duplicate_header(self, tmp_path):
         path = tmp_path / "data.csv"
         path.write_text("label,padlock,padlock,telephone,about,terms\n1,0,0,0,0,0\n",
