@@ -79,7 +79,7 @@ class ConvergenceError(EstimationError):
 
 
 class ModelDocumentError(SourceScopeError):
-    """Model document is structurally malformed."""
+    """A model document, or a model built in code, is malformed."""
 
 
 class UnknownFeatureError(ModelDocumentError):
@@ -87,7 +87,7 @@ class UnknownFeatureError(ModelDocumentError):
 
 
 class NonFiniteValueError(ModelDocumentError):
-    """Model document carries a NaN or infinite coefficient."""
+    """A model's intercept or a coefficient is NaN or infinite."""
 
 
 # --- statistics ---------------------------------------------------------------

@@ -21,7 +21,7 @@ from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from ..errors import LexiconError
-from ..files import DATA, read_json_object
+from ..files import DATA, naming, read_json_object
 from .html_text import normalize_text
 
 __all__ = ["KeywordLexicon", "SECTION_KINDS", "load_lexicon", "default_lexicon"]
@@ -48,10 +48,21 @@ class KeywordLexicon:
     languages: tuple[str, ...]
 
     def __post_init__(self):
+        def strings(where: str, value) -> tuple[str, ...]:
+            if isinstance(value, (list, tuple)) and all(isinstance(item, str) for item in value):
+                return tuple(value)
+            raise LexiconError(f"{where} is not a list of strings")
+
+        for field in ("languages", "telephone_keywords"):
+            object.__setattr__(self, field, strings(field, getattr(self, field)))
         if not self.languages:
             raise LexiconError("lexicon declares no languages")
         for kind in SECTION_KINDS:
             table = getattr(self, kind)
+            if not isinstance(table, Mapping):
+                raise LexiconError(f"malformed lexicon document ({kind} is not an object)")
+            table = {lang: strings(f"{kind}/{lang}", phrases) for lang, phrases in table.items()}
+            object.__setattr__(self, kind, MappingProxyType(table))
             for lang, phrases in table.items():
                 if lang not in self.languages:
                     raise LexiconError(f"{kind}: language {lang!r} not declared in 'languages'")
@@ -98,21 +109,11 @@ class KeywordLexicon:
 def load_lexicon(path: str | Path) -> KeywordLexicon:
     """Load a lexicon from a UTF-8 JSON file, with or without a byte-order mark."""
     raw = read_json_object(path, LexiconError)
-
-    def strings(where: str, value) -> tuple[str, ...]:
-        if isinstance(value, list) and all(isinstance(item, str) for item in value):
-            return tuple(value)
-        raise LexiconError(f"{path}: {where} is not a list of strings")
-
     try:
-        languages = strings("languages", raw["languages"])
-        telephone = strings("telephone_keywords", raw["telephone_keywords"])
-        tables = {kind: {lang: strings(f"{kind}/{lang}", phrases)
-                         for lang, phrases in dict(raw[kind]).items()}
-                  for kind in SECTION_KINDS}
-    except (KeyError, TypeError) as exc:
+        fields = {key: raw[key] for key in ("languages", "telephone_keywords", *SECTION_KINDS)}
+    except KeyError as exc:
         raise LexiconError(f"{path}: malformed lexicon document ({exc})") from None
-    return KeywordLexicon(telephone_keywords=telephone, languages=languages, **tables)
+    return naming(path, LexiconError, KeywordLexicon, **fields)
 
 
 @lru_cache(maxsize=1)

@@ -4,7 +4,9 @@ The known-domain list, the batch file, the lexicon, the model document and
 a fixture's manifest, builtin or the user's, are read here.  Each is UTF-8
 with or without a byte-order mark.  A file that is not, or that does not
 hold what its reader expects, raises the caller's error type with a
-message that starts with the file's path.
+message that starts with the file's path.  The value a loader builds from
+the file checks its own content; :func:`naming` puts the path in front of
+each of its refusals.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import json
 from pathlib import Path
 from typing import Callable
 
-__all__ = ["DATA", "not_utf8", "read_lines", "read_json_object"]
+__all__ = ["DATA", "naming", "not_utf8", "read_lines", "read_json_object"]
 
 DATA = Path(__file__).parent / "data"
 
@@ -21,6 +23,15 @@ DATA = Path(__file__).parent / "data"
 def not_utf8(path: str | Path, exc: UnicodeDecodeError) -> str:
     """The refusal of the file at ``path``, whose bytes are not UTF-8."""
     return f"{path}: not UTF-8 text (byte 0x{exc.object[exc.start]:02x}: {exc.reason})"
+
+
+def naming(path: str | Path, error: type[Exception], build: Callable, *args, **kwargs):
+    """``build(*args, **kwargs)``, a value read from the file at ``path``; an
+    ``error`` it raises is raised again, of its own type, with ``path: `` first."""
+    try:
+        return build(*args, **kwargs)
+    except error as exc:
+        raise type(exc)(f"{path}: {exc}") from None
 
 
 def _text(path: str | Path, error: Callable[[str], Exception]) -> str:
@@ -45,7 +56,7 @@ def read_json_object(path: str | Path, error: Callable[[str], Exception], **json
     """The JSON object the file holds; ``json_options`` go to :func:`json.loads`."""
     try:
         document = json.loads(_text(path, error), **json_options)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:       # a JSONDecodeError, or an int past the digit limit
         raise error(f"{path}: not valid JSON ({exc})") from None
     if not isinstance(document, dict):
         raise error(f"{path}: not a JSON object")

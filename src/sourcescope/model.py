@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import operator
 import os
 import tempfile
@@ -29,7 +30,7 @@ from .errors import (
     SingularDesignError,
     UnknownFeatureError,
 )
-from .files import read_json_object
+from .files import naming, read_json_object
 
 __all__ = [
     "FEATURE_NAMES",
@@ -101,22 +102,28 @@ class LogitModel:
     metadata: Optional[str] = None
 
     def __post_init__(self):
-        coeffs = dict(self.coefficients)
+        def number(value, what: str) -> float:
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ModelDocumentError(f"{what} must be a number")
+            try:
+                if math.isfinite(value):
+                    return float(value)
+            except OverflowError:       # an int past the float range
+                pass
+            raise NonFiniteValueError(f"{what} is not finite")
+
+        object.__setattr__(self, "intercept", number(self.intercept, "intercept"))
+        coeffs = {name: number(value, f"coefficient {name!r}")
+                  for name, value in dict(self.coefficients).items()}
         if not coeffs:
-            raise ValueError("model needs at least one feature coefficient")
+            raise ModelDocumentError("model needs at least one feature coefficient")
         for name in coeffs:
             if name not in FEATURE_NAMES:
                 raise UnknownFeatureError(
                     f"unknown feature {name!r}; expected a subset of {FEATURE_NAMES}")
-        if not math.isfinite(self.intercept):
-            raise NonFiniteValueError("intercept is not finite")
-        for name, value in coeffs.items():
-            if not math.isfinite(value):
-                raise NonFiniteValueError(f"coefficient {name!r} is not finite")
         # canonical feature order, regardless of input order
-        ordered = {name: float(coeffs[name]) for name in FEATURE_NAMES if name in coeffs}
-        object.__setattr__(self, "coefficients", ordered)
-        object.__setattr__(self, "intercept", float(self.intercept))
+        object.__setattr__(self, "coefficients", MappingProxyType(
+            {name: coeffs[name] for name in FEATURE_NAMES if name in coeffs}))
 
     @property
     def features(self) -> tuple[str, ...]:
@@ -146,10 +153,7 @@ MODEL_I = LogitModel(
                   "about": 0.3744, "terms": -1.5144},
     metadata="builtin model1: five-predictor reference fit",
 )
-FEATURE_SUBSETS = {
-    "model1": FEATURE_NAMES,
-    "model2": ("padlock", "contact", "telephone", "terms"),
-}
+FEATURE_SUBSETS = MappingProxyType({"model1": MODEL_I.features, "model2": MODEL_II.features})
 
 
 # Count-table cell index: the label is the high bit, then the five features
@@ -440,29 +444,14 @@ def load_model(document: Mapping) -> LogitModel:
     version = document.get("version", _DOCUMENT_VERSION)
     if str(version) != _DOCUMENT_VERSION:
         raise ModelDocumentError(f"unsupported document version {version!r}")
-
-    def _num(value, what: str) -> float:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ModelDocumentError(f"{what} must be a number")
-        if not math.isfinite(value):
-            raise NonFiniteValueError(f"{what} is not finite")
-        return float(value)
-
-    intercept = _num(document["intercept"], "intercept")
-    coeffs = {name: _num(value, f"coefficient {name!r}")
-              for name, value in coefficients.items()}
     metadata = document.get("metadata")
     if metadata is not None and not isinstance(metadata, str):
         raise ModelDocumentError("'metadata' must be a string or null")
-    return LogitModel(intercept=intercept, coefficients=coeffs, metadata=metadata)
-
-
-def _parse_constant(token: str):
-    raise NonFiniteValueError(f"non-finite number {token!r} in model document")
+    return LogitModel(intercept=document["intercept"], coefficients=coefficients, metadata=metadata)
 
 
 def load_model_file(path: str | Path) -> LogitModel:
-    return load_model(read_json_object(path, ModelDocumentError, parse_constant=_parse_constant))
+    return naming(path, ModelDocumentError, load_model, read_json_object(path, ModelDocumentError))
 
 
 def save_model_file(model: LogitModel, path: str | Path) -> None:

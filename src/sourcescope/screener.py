@@ -28,7 +28,7 @@ from typing import Optional
 from urllib.parse import urlsplit
 
 from .errors import EmptyDatabaseError, UnparseableUrlError
-from .files import DATA, read_lines
+from .files import DATA, naming, read_lines
 
 __all__ = [
     "KnownDomainDB",
@@ -273,6 +273,8 @@ class KnownDomainDB:
                 raise UnparseableUrlError(
                     f"known-domain entry {entry!r} is not a registrable domain")
             seen.setdefault(norm, None)
+        if not seen:
+            raise EmptyDatabaseError("known-domain database is empty")
         object.__setattr__(self, "entries", tuple(seen))
 
     def __contains__(self, domain: str) -> bool:
@@ -324,8 +326,6 @@ def mimicry_check(domain: str, db: KnownDomainDB) -> MimicryVerdict:
     Among multiple matching entries the smallest edit distance wins, then
     the lexicographically smallest target.
     """
-    if len(db) == 0:
-        raise EmptyDatabaseError("known-domain database is empty")
     if domain in db:
         return MimicryVerdict("Exact", matched_target=domain)
 
@@ -346,7 +346,8 @@ def mimicry_check(domain: str, db: KnownDomainDB) -> MimicryVerdict:
 def load_known_domains(path: str | Path) -> KnownDomainDB:
     """Load a domain list: UTF-8 with or without a byte-order mark, one
     domain per line, ``#`` comments allowed."""
-    return KnownDomainDB(read_lines(path, EmptyDatabaseError, "domains"))
+    return naming(path, UnparseableUrlError, KnownDomainDB,
+                  read_lines(path, EmptyDatabaseError, "domains"))
 
 
 def default_known_domains() -> KnownDomainDB:

@@ -428,6 +428,32 @@ class TestConfigHandling:
         assert (code, out) == (4, "")
         assert err.startswith(f"error: {path}: not UTF-8 text (byte 0xe9: invalid continuation byte)")
 
+    @pytest.mark.parametrize("command,flag,content,message", [
+        ("score", "--model", {"intercept": 1, "coefficients": {"padlock": 1, "bogus": 2}},
+         "unknown feature 'bogus'"),
+        ("score", "--model", {"intercept": 1, "coefficients": {}},
+         "model needs at least one feature coefficient"),
+        ("score", "--model", {"intercept": "x", "coefficients": {"padlock": 1}},
+         "intercept must be a number"),
+        ("extract", "--lexicon", {"languages": []}, "lexicon declares no languages"),
+        ("extract", "--lexicon", {"contact": "ab"},
+         "malformed lexicon document (contact is not an object)"),
+        ("screen", "--known-domains", "localhost\n",
+         "known-domain entry 'localhost' is not a registrable domain"),
+        ("screen", "--known-domains", "a" * 64 + ".com\n", "hostname longer than RFC 1035 allows"),
+    ])
+    def test_content_refusal_exit_four_naming_the_file(self, capsys, offline, tmp_path, command,
+                                                       flag, content, message):
+        if flag == "--lexicon":
+            builtin = json.loads((sourcescope.files.DATA / "lexicon.json").read_text("utf-8"))
+            content = {**builtin, **content}
+        path = tmp_path / "input"
+        path.write_text(content if isinstance(content, str) else json.dumps(content), "utf-8")
+        argv = ["example.com"] if command == "screen" else ["https://en-full.test", *offline]
+        code, out, err = run_cli(capsys, command, *argv, flag, str(path))
+        assert (code, out) == (4, "")
+        assert err.startswith(f"error: {path}: {message}")
+
     @pytest.mark.parametrize("command,secure,exit_code", [
         ("score", False, 3), ("score", True, 0), ("extract", False, 0)])
     @pytest.mark.parametrize("mode", ["json", "table"])

@@ -77,6 +77,9 @@ class TestScalars:
         assert stat == 0.0
         assert p == 1.0
 
+    def test_lr_without_degrees_of_freedom(self):
+        assert lr_test(-90.0, -100.0, 0) == (20.0, 1.0)
+
     def test_aic_mcfadden_consistency(self):
         # mcfadden == 1 - ((2k - aic)/2)/lnl0 exactly, for any fit
         for lnl, k in ((-148.0627, 5), (-200.25, 3), (-5.5, 2)):
@@ -192,6 +195,12 @@ class TestConfusionMatrix:
         data = dataset_from_counts([({}, 1, 7), ({}, 0, 3)])
         cm = confusion_matrix(model, data, 0.5)
         assert cm.counts() == (3, 0, 7, 0)
+
+    @pytest.mark.parametrize("cutoff", [0.0, 1.0, math.nan])
+    def test_cutoff_outside_the_open_interval_refused(self, cutoff):
+        data = dataset_from_counts([({}, 1, 1), ({}, 0, 1)])
+        with pytest.raises(ValueError, match="cutoff must lie in"):
+            confusion_matrix(MODEL_II, data, cutoff)
 
     def test_counts_partition(self):
         rng = np.random.default_rng(12)

@@ -313,6 +313,29 @@ class TestLexicon:
                 languages=("en",),
             )
 
+    @pytest.mark.parametrize("field,value,message", [
+        ("telephone_keywords", "phone", "telephone_keywords is not a list of strings"),
+        ("languages", ["en", None], "languages is not a list of strings"),
+        ("about", {"en": "about us"}, "about/en is not a list of strings"),
+        ("terms", "terms", "malformed lexicon document (terms is not an object)"),
+    ])
+    def test_lexicon_checks_its_own_fields(self, field, value, message):
+        fields = {"languages": ("en",), "telephone_keywords": ("phone",),
+                  **{kind: {"en": phrases} for kind, phrases in _SEEDS.items()}, field: value}
+        with pytest.raises(LexiconError, match=f"^{re.escape(message)}$"):
+            KeywordLexicon(**fields)
+
+    def test_lexicon_holds_tuples_in_read_only_tables(self):
+        lexicon = KeywordLexicon(languages=["en"], telephone_keywords=["phone"],
+                                 **{kind: {"en": phrases} for kind, phrases in _SEEDS.items()})
+        assert (lexicon.languages, lexicon.telephone_keywords) == (("en",), ("phone",))
+        assert lexicon.contact["en"] == tuple(_SEEDS["contact"])
+        with pytest.raises(TypeError):
+            lexicon.contact["xx"] = ("write to us",)
+        with pytest.raises(TypeError):
+            default_lexicon().contact["xx"] = ("write to us",)
+        assert "xx" not in default_lexicon().contact
+
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "lexicon.json"
         path.write_text("{not json", encoding="utf-8")
@@ -333,6 +356,8 @@ class TestLexicon:
         ({"contact": {"en": [*_SEEDS["contact"], 5]}}, ": contact/en is not a list of strings"),
         ({"contact": None}, ": malformed lexicon document ("),
         ({"terms": _MISSING}, ": malformed lexicon document ('terms')"),
+        ({"contact": "ab"}, ": malformed lexicon document (contact is not an object)"),
+        ({"about": ["about us"]}, ": malformed lexicon document (about is not an object)"),
     ])
     def test_document_refusals(self, tmp_path, changes, message):
         raw = {"languages": ["en"], **{kind: {"en": phrases} for kind, phrases in _SEEDS.items()},
@@ -343,8 +368,7 @@ class TestLexicon:
         with pytest.raises(LexiconError) as refusal:
             load_lexicon(path)
         assert message in str(refusal.value)
-        if message.startswith(":"):
-            assert str(refusal.value).startswith(f"{path}: ")
+        assert str(refusal.value).startswith(f"{path}: ")
 
     @pytest.mark.parametrize("text,message", [("[]", "JSON object"), ("{not json", ": not valid JSON")])
     def test_file_refusals_name_the_file(self, tmp_path, text, message):

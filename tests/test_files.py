@@ -6,7 +6,7 @@ import re
 import pytest
 
 from sourcescope.features import default_lexicon, load_lexicon
-from sourcescope.files import DATA, read_json_object, read_lines
+from sourcescope.files import DATA, naming, read_json_object, read_lines
 from sourcescope.screener import default_known_domains, load_known_domains
 
 
@@ -57,3 +57,13 @@ def test_json_other_than_an_object_refused_with_its_path(tmp_path, text, refusal
     path.write_text(text, encoding="utf-8")
     with pytest.raises(Refused, match=f"^{re.escape(f'{path}: {refusal}')}"):
         read_json_object(path, Refused)
+
+
+def test_naming_puts_the_path_before_the_named_error_only():
+    def build(value):
+        raise Refused(f"bad {value}")
+    with pytest.raises(Refused, match="^doc.json: bad 1$"):
+        naming("doc.json", Refused, build, 1)
+    with pytest.raises(KeyError, match="^'x'$"):
+        naming("doc.json", Refused, {}.__getitem__, "x")
+    assert naming("doc.json", Refused, int, "5", base=8) == 5

@@ -93,6 +93,60 @@ class TestPredict:
             assert (p1 < p0) == (beta < 0)
 
 
+class TestModelFields:
+    @pytest.mark.parametrize("intercept,coefficients,error,message", [
+        ("x", {"padlock": 1.0}, ModelDocumentError, "intercept must be a number"),
+        (True, {"padlock": 1.0}, ModelDocumentError, "intercept must be a number"),
+        (0.0, {"padlock": None}, ModelDocumentError, "coefficient 'padlock' must be a number"),
+        (math.inf, {"padlock": 1.0}, NonFiniteValueError, "intercept is not finite"),
+        (0.0, {"terms": math.nan}, NonFiniteValueError, "coefficient 'terms' is not finite"),
+        (10 ** 400, {"padlock": 1.0}, NonFiniteValueError, "intercept is not finite"),
+        (0.0, {}, ModelDocumentError, "model needs at least one feature coefficient"),
+        (0.0, {"wordcount": 1.0}, UnknownFeatureError, "unknown feature 'wordcount'"),
+    ], ids=["string", "boolean", "null", "inf", "nan", "int past the floats", "empty", "unknown"])
+    def test_model_checks_its_own_fields(self, intercept, coefficients, error, message):
+        with pytest.raises(error, match=re.escape(message)) as refusal:
+            LogitModel(intercept=intercept, coefficients=coefficients)
+        assert type(refusal.value) is error
+
+    def test_any_real_number_is_taken_as_a_float(self):
+        model = LogitModel(intercept=np.float64(0.5), coefficients={"terms": np.int64(-1),
+                                                                    "padlock": 2})
+        assert model == LogitModel(intercept=0.5, coefficients={"padlock": 2.0, "terms": -1.0})
+        assert [type(v) for v in (model.intercept, *model.coefficients.values())] == [float] * 3
+
+    def test_builtins_are_read_only(self):
+        with pytest.raises(TypeError):
+            MODEL_II.coefficients["padlock"] = 0.0
+        with pytest.raises(TypeError):
+            FEATURE_SUBSETS["model2"] = ("about",)
+        assert predict_probability(MODEL_II, fv(1, 1, 1, 1, 1)) == pytest.approx(0.0564, abs=1e-4)
+
+    def test_feature_subsets_are_the_builtin_models_features(self):
+        assert dict(FEATURE_SUBSETS) == {"model1": FEATURE_NAMES,
+                                         "model2": ("padlock", "contact", "telephone", "terms")}
+        assert FEATURE_SUBSETS["model2"] == MODEL_II.features
+
+
+class TestLabeledDataset:
+    @pytest.mark.parametrize("rows,error,message", [
+        ([(fv(), 2)], ValueError, "row 0: label must be 0 or 1, got 2"),
+        ([(fv(), 1), ({"padlock": 1}, 0)], TypeError, "row 1: expected FeatureVector"),
+    ])
+    def test_row_refusals(self, rows, error, message):
+        with pytest.raises(error, match=re.escape(message)):
+            LabeledDataset(rows)
+
+    @pytest.mark.parametrize("counts,message", [
+        ([1] * 63, "count table needs 64 cells, got 63"),
+        ([True] + [0] * 63, "cell 0: count must be a non-negative int, got True"),
+        ([0] * 5 + [-1] + [1] * 58, "cell 5: count must be a non-negative int, got -1"),
+    ])
+    def test_count_table_refusals(self, counts, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            LabeledDataset.from_counts(counts)
+
+
 class TestLogLikelihood:
     def test_constant_half_model(self):
         model = LogitModel(intercept=0.0, coefficients={name: 0.0 for name in FEATURE_NAMES})
@@ -336,6 +390,39 @@ class TestSerialization:
         path = tmp_path / "model.json"
         path.write_text("[]", encoding="utf-8")
         with pytest.raises(ModelDocumentError, match="JSON object"):
+            load_model_file(path)
+
+    @pytest.mark.parametrize("document,error,message", [
+        ({"intercept": 1, "coefficients": {"padlock": 1, "bogus": 2}}, UnknownFeatureError,
+         "unknown feature 'bogus'"),
+        ({"intercept": 1, "coefficients": {}}, ModelDocumentError,
+         "model needs at least one feature coefficient"),
+        ({"intercept": "x", "coefficients": {"padlock": 1}}, ModelDocumentError,
+         "intercept must be a number"),
+        ({"intercept": 10 ** 400, "coefficients": {"padlock": 1}}, NonFiniteValueError,
+         "intercept is not finite"),
+        ({"coefficients": {"padlock": 1}}, ModelDocumentError, "document lacks 'intercept'"),
+    ])
+    def test_file_refusals_name_the_file_first(self, tmp_path, document, error, message):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(document), encoding="utf-8")
+        with pytest.raises(error, match=f"^{re.escape(f'{path}: {message}')}") as refusal:
+            load_model_file(path)
+        assert type(refusal.value) is error
+
+    def test_nan_token_refused_as_a_non_finite_coefficient(self, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(save_model(MODEL_II)).replace("-2.3141", "NaN"), encoding="utf-8")
+        with pytest.raises(NonFiniteValueError,
+                           match=f"^{re.escape(f'{path}: coefficient')} 'padlock' is not finite$"):
+            load_model_file(path)
+
+    def test_integer_past_the_parser_limit_names_the_file(self, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text('{"intercept": 1' + "0" * 5000 + ', "coefficients": {"padlock": 1}}',
+                        encoding="utf-8")
+        # not valid JSON past the interpreter's digit limit, not finite without one
+        with pytest.raises(ModelDocumentError, match=f"^{re.escape(str(path))}: "):
             load_model_file(path)
 
     def test_invalid_json_file_names_the_file(self, tmp_path):

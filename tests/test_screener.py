@@ -43,7 +43,8 @@ class TestNormalizeDomain:
     def test_port_ignored(self):
         assert normalize_domain("http://example.com:8080/x") == "example.com"
 
-    @pytest.mark.parametrize("bad", ["not a url ::", "", "http://", "https:// /", "ftp://a b"])
+    @pytest.mark.parametrize("bad", ["not a url ::", "", "http://", "https:// /", "ftp://a b",
+                                     "http://[oops/"])
     def test_unparseable(self, bad):
         with pytest.raises(UnparseableUrlError):
             normalize_domain(bad)
@@ -161,8 +162,9 @@ class TestMimicryCheck:
         assert (verdict.outcome, verdict.reason) == ("Mimic", "homoglyph")
 
     def test_empty_database(self):
-        with pytest.raises(EmptyDatabaseError):
-            mimicry_check("nbcnews.com", KnownDomainDB(()))
+        # refused when built, so no screen ever runs against an empty list
+        with pytest.raises(EmptyDatabaseError, match="^known-domain database is empty$"):
+            KnownDomainDB(())
 
     def test_tie_break_smallest_distance_then_name(self):
         db = KnownDomainDB(("aacdef.com", "abcdef.com"))
@@ -249,6 +251,17 @@ class TestDatabase:
     def test_non_registrable_entry_rejected(self):
         with pytest.raises(UnparseableUrlError):
             KnownDomainDB(("localhost",))
+
+    @pytest.mark.parametrize("entry,message", [
+        ("localhost", "known-domain entry 'localhost' is not a registrable domain"),
+        ("a" * 64 + ".com", "hostname longer than RFC 1035 allows"),
+        ("http://[oops/", "cannot parse 'http://[oops/'"),
+    ])
+    def test_load_refusal_names_the_file_first(self, tmp_path, entry, message):
+        listing = tmp_path / "domains.txt"
+        listing.write_text(f"nbcnews.com\n{entry}\n", encoding="utf-8")
+        with pytest.raises(UnparseableUrlError, match=f"^{re.escape(f'{listing}: {message}')}"):
+            load_known_domains(listing)
 
     def test_load_file_with_comments(self, tmp_path):
         listing = tmp_path / "domains.txt"

@@ -172,6 +172,10 @@ SPANNING = KeywordLexicon(
 @example(default_lexicon(), "http://news.test/",
          [("contact us", "http://other.test/contact"), ("about us", "https://news.test.evil.test/about"),
           ("terms of use", "//other.test/terms"), ("contact us", "/contact")])
+# a landing URL with no hostname to compare with, and a link whose host is no domain
+@example(default_lexicon(), "http://[oops/", [("contact us", "/contact")])
+@example(default_lexicon(), "http://news.test/",
+         [("contact us", "http://x_y.test/contact"), ("about us", "/about")])
 def test_candidate_links_match_reference(lexicon, landing, anchors):
     page = PageText(anchors=tuple(anchors), headings=(), footer_text="", full_text="")
     assert _candidate_links(landing, page, lexicon) == reference_candidate_links(landing, page, lexicon)

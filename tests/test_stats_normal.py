@@ -76,6 +76,11 @@ class TestChiSquareSf:
         assert chi_square_sf(0.0, 1) == 1.0
         assert chi_square_sf(0.0, 7) == 1.0
 
+    def test_zero_degrees_of_freedom(self):
+        # the distribution is all at 0: the tail is 1 at 0 and 0 past it
+        assert chi_square_sf(0.0, 0) == 1.0
+        assert chi_square_sf(0.5, 0) == 0.0
+
     def test_monotone_decreasing(self):
         values = [chi_square_sf(x, 3) for x in (0.1, 1.0, 5.0, 15.0, 40.0)]
         assert values == sorted(values, reverse=True)
