@@ -15,14 +15,13 @@ import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .errors import SeparationError, SingleClassDataError, SingularDesignError
+from .errors import SingleClassDataError, SingularDesignError
 from .model import (
     FitResult,
     LabeledDataset,
     LogitModel,
     cell_design,
     dot,
-    fit_intercept_only,
     gram,
     invert,
     predict_probability,
@@ -53,11 +52,12 @@ __all__ = [
 # --------------------------------------------------------------------------
 
 def null_log_likelihood(data: LabeledDataset) -> float:
-    """Log-likelihood of the intercept-only model (see :func:`fit_intercept_only`)."""
-    try:
-        return fit_intercept_only(data)[1]
-    except SeparationError:
-        raise SingleClassDataError("dataset has a single label value") from None
+    """Closed-form log-likelihood of the intercept-only model, n1 ln(n1/n) + n0 ln(n0/n)."""
+    ones, zeros = data.class_counts()
+    if ones == 0 or zeros == 0:
+        raise SingleClassDataError("dataset has a single label value")
+    n = len(data)
+    return ones * math.log(ones / n) + zeros * math.log(zeros / n)
 
 
 def mcfadden(lnl: float, lnl0: float) -> float:

@@ -21,9 +21,12 @@ class FetchError(SourceScopeError):
     ``reason`` says what went wrong."""
 
     def __init__(self, url: str, message: str):
+        super().__init__(url, message)
         self.url = url
         self.reason = message
-        super().__init__(f"{message} ({url})")
+
+    def __str__(self) -> str:
+        return f"{self.reason} ({self.url})"
 
 
 class NetworkUnreachableError(FetchError):

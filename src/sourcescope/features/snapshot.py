@@ -19,7 +19,7 @@ import threading
 import urllib.request
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional
 from urllib.error import URLError
 from urllib.parse import quote, urljoin, urlsplit, urlunsplit
 
@@ -32,7 +32,7 @@ from ..errors import (
     TooManyRedirectsError,
     UnparseableUrlError,
 )
-from ..files import read_json_object
+from ..files import naming, read_json_object
 from ..screener import normalize_domain
 from .html_text import PageText, normalize_text, parse_page
 from .lexicon import KeywordLexicon, default_lexicon
@@ -287,28 +287,14 @@ def _candidate_links(landing_url: str, page: PageText, lexicon: KeywordLexicon) 
     return list(seen)
 
 
-def _force_scheme(url: str, secure: bool) -> str:
-    parts = urlsplit(_complete_url(url))
-    scheme = "https" if secure else "http"
-    return urlunsplit((scheme, parts.netloc, parts.path or "/", parts.query, ""))
-
-
 def _fixture_dir(root: Path, url: str) -> Path:
-    if (root / "index.html").is_file():
-        return root
-    candidates = []
+    """``root/<registrable domain>/``, the one offline layout, if it lies inside the root."""
     try:
-        candidates.append(normalize_domain(url))
+        site_dir = root / normalize_domain(url)
+        if site_dir.resolve().is_relative_to(root.resolve()) and (site_dir / "index.html").is_file():
+            return site_dir
     except UnparseableUrlError:
         pass
-    host = urlsplit(_complete_url(url)).hostname
-    if host:
-        candidates.append(host.casefold())
-    inside = root.resolve()
-    for name in candidates:
-        site_dir = root / name
-        if site_dir.resolve().is_relative_to(inside) and (site_dir / "index.html").is_file():
-            return site_dir
     raise NetworkUnreachableError(url, f"no offline fixture under {root}")
 
 
@@ -325,6 +311,23 @@ def _read_fixture_page(site_dir: Path, name: str, url: str) -> str:
     return _decode(body, None)
 
 
+def _manifest_fields(manifest: dict, url: str) -> tuple[str, list[str]]:
+    """The final URL a manifest gives, on its scheme, and the pages it lists."""
+    secure = manifest.get("final_scheme_secure", urlsplit(_complete_url(url)).scheme == "https")
+    if not isinstance(secure, bool):
+        raise NetworkUnreachableError(url, "final_scheme_secure is not true or false")
+    final_url = manifest.get("final_url", url)
+    if not isinstance(final_url, str):
+        raise NetworkUnreachableError(url, "final_url is not a string")
+    listed = manifest.get("secondary_pages", [])
+    if not isinstance(listed, list) or not all(isinstance(name, str) for name in listed):
+        raise NetworkUnreachableError(url, "secondary_pages is not a list of names")
+    parts = urlsplit(_complete_url(final_url))
+    scheme = "https" if secure else "http"
+    final_url = urlunsplit((scheme, parts.netloc, parts.path or "/", parts.query, ""))
+    return final_url, listed[:_MAX_SECONDARY_PAGES]
+
+
 def _fixture_source(url: str, root: Path) -> tuple[Page, list[str], Callable[[str], tuple]]:
     """The saved landing page, the URLs of the pages its manifest lists, and
     the reader of one of them; a listed name outside the site is refused."""
@@ -332,27 +335,33 @@ def _fixture_source(url: str, root: Path) -> tuple[Page, list[str], Callable[[st
     manifest_path = site_dir / "manifest.json"
     refuse = functools.partial(NetworkUnreachableError, url)
     manifest = read_json_object(manifest_path, refuse) if manifest_path.is_file() else {}
-
-    secure = manifest.get("final_scheme_secure", urlsplit(_complete_url(url)).scheme == "https")
-    if not isinstance(secure, bool):
-        raise refuse(f"{manifest_path}: final_scheme_secure is not true or false")
-    final_url = manifest.get("final_url", url)
-    if not isinstance(final_url, str):
-        raise refuse(f"{manifest_path}: final_url is not a string")
-    final_url = _force_scheme(final_url, secure)
+    final_url, listed = naming(manifest_path, NetworkUnreachableError, _manifest_fields, manifest, url)
 
     landing = Page((final_url, _read_fixture_page(site_dir, "index.html", final_url)))
-    listed = manifest.get("secondary_pages", [])
-    if not isinstance(listed, list) or not all(isinstance(name, str) for name in listed):
-        raise refuse(f"{manifest_path}: secondary_pages is not a list of names")
     inside = site_dir.resolve()
-    for name in listed[:_MAX_SECONDARY_PAGES]:
+    for name in listed:
         if not (site_dir / name).resolve().is_relative_to(inside):
             raise NetworkUnreachableError(url, f"fixture page {name!r} lies outside {site_dir}")
-    candidates = [urljoin(final_url, name) for name in listed[:_MAX_SECONDARY_PAGES]]
+    candidates = [urljoin(final_url, name) for name in listed]
     names = dict(zip(candidates, listed))
     return landing, candidates, lambda page_url: (
         page_url, _read_fixture_page(site_dir, names[page_url], page_url))
+
+
+def call_each(function: Callable, items: Iterable, workers: Optional[int] = None) -> list:
+    """``function`` of each item, or the exception it raised, in input
+    order: on ``workers`` threads when given, in this thread otherwise."""
+    def attempt(item):
+        try:
+            return function(item)
+        except Exception as exc:
+            return exc
+
+    if not workers:
+        return [attempt(item) for item in items]
+    from concurrent.futures import ThreadPoolExecutor   # a run without workers starts no thread
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(attempt, items))
 
 
 def fetch_site(url: str, policy: FetchPolicy,
@@ -366,29 +375,18 @@ def fetch_site(url: str, policy: FetchPolicy,
     ``skipped_pages`` with its reason.
     """
     _count("snapshots")
-    if policy.offline_root is None:
+    live = policy.offline_root is None
+    if live:
         landing = Page(_get_html(_complete_url(url), policy))
         candidates = _candidate_links(landing[0], landing.text, lexicon or default_lexicon())
         read = functools.partial(_get_html, policy=policy)
     else:
         landing, candidates, read = _fixture_source(url, policy.offline_root)
 
-    def attempt(link: str):
-        try:
-            return read(link), None
-        except Exception as exc:
-            return None, exc.reason if isinstance(exc, FetchError) else str(exc)
-
-    if policy.offline_root is None and candidates:
-        from concurrent.futures import ThreadPoolExecutor   # an offline fetch starts no thread
-        with ThreadPoolExecutor(max_workers=len(candidates)) as pool:
-            results = list(pool.map(attempt, candidates))
-    else:
-        results = map(attempt, candidates)
     pages, skipped = [landing], []
-    for link, (page, reason) in zip(candidates, results):
-        if page is None:
-            skipped.append((link, reason))
+    for link, page in zip(candidates, call_each(read, candidates, len(candidates) if live else None)):
+        if isinstance(page, Exception):
+            skipped.append((link, page.reason if isinstance(page, FetchError) else str(page)))
         else:
             pages.append(page)
     return SiteSnapshot(requested_url=url, final_url=landing[0],

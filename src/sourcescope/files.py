@@ -31,7 +31,8 @@ def naming(path: str | Path, error: type[Exception], build: Callable, *args, **k
     try:
         return build(*args, **kwargs)
     except error as exc:
-        raise type(exc)(f"{path}: {exc}") from None
+        *head, message = exc.args or ("",)      # a FetchError's URL comes before its message
+        raise type(exc)(*head, f"{path}: {message}") from None
 
 
 def _text(path: str | Path, error: Callable[[str], Exception]) -> str:
@@ -52,10 +53,10 @@ def read_lines(path: str | Path, error: Callable[[str], Exception], what: str) -
     return entries
 
 
-def read_json_object(path: str | Path, error: Callable[[str], Exception], **json_options) -> dict:
-    """The JSON object the file holds; ``json_options`` go to :func:`json.loads`."""
+def read_json_object(path: str | Path, error: Callable[[str], Exception]) -> dict:
+    """The JSON object the file holds."""
     try:
-        document = json.loads(_text(path, error), **json_options)
+        document = json.loads(_text(path, error))
     except ValueError as exc:       # a JSONDecodeError, or an int past the digit limit
         raise error(f"{path}: not valid JSON ({exc})") from None
     if not isinstance(document, dict):

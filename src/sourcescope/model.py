@@ -46,7 +46,6 @@ __all__ = [
     "predict_probability",
     "log_likelihood",
     "fit_logit",
-    "fit_intercept_only",
     "marginal_effects",
     "save_model",
     "load_model",
@@ -277,10 +276,9 @@ def invert(matrix: Sequence[Sequence]) -> Optional[list[list]]:
 class FitOptions:
     max_iterations: int = 100
     tolerance: float = 1e-8           # on the max absolute score component
-    separation_bound: float = 30.0    # |beta| beyond this flags separation
 
     def __post_init__(self):
-        for name in ("max_iterations", "tolerance", "separation_bound"):
+        for name in ("max_iterations", "tolerance"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"FitOptions.{name} must be strictly positive")
 
@@ -292,6 +290,7 @@ class FitResult:
     iterations: int
 
 
+_SEPARATION_BOUND = 30.0    # |beta| beyond this flags separation
 _P_FLOOR = math.nextafter(0.0, 1.0)
 _P_CEIL = math.nextafter(1.0, 0.0)
 
@@ -330,19 +329,8 @@ def fit_logit(data: LabeledDataset, features: Sequence[str],
     """
     features = tuple(features)
     if not features:
-        raise ValueError("need at least one feature; see fit_intercept_only for the null fit")
+        raise ValueError("need at least one feature; see null_log_likelihood for the null fit")
     return _fit(data, features, opts or FitOptions())
-
-
-def fit_intercept_only(data: LabeledDataset) -> tuple[float, float]:
-    """Closed-form null fit: (intercept, log-likelihood n1 ln(n1/n) + n0 ln(n0/n))."""
-    ones, zeros = data.class_counts()
-    if ones == 0 or zeros == 0:
-        raise SeparationError("single-class data: null log-odds are infinite")
-    n = len(data)
-    intercept = math.log(ones / zeros)
-    lnl = ones * math.log(ones / n) + zeros * math.log(zeros / n)
-    return intercept, lnl
 
 
 def _fit(data: LabeledDataset, features: tuple[str, ...], opts: FitOptions) -> FitResult:
@@ -377,9 +365,9 @@ def _fit(data: LabeledDataset, features: tuple[str, ...], opts: FitOptions) -> F
             halvings += 1
         beta, lnl = new_beta, new_lnl
 
-        if max(map(abs, beta)) > opts.separation_bound:
+        if max(map(abs, beta)) > _SEPARATION_BOUND:
             raise SeparationError(
-                f"separation detected: |coefficient| exceeded {opts.separation_bound}")
+                f"separation detected: |coefficient| exceeded {_SEPARATION_BOUND}")
 
     raise ConvergenceError(f"no convergence after {opts.max_iterations} iterations")
 

@@ -35,6 +35,7 @@ from .features import (
     features_from_snapshot,
     fetch_site,
 )
+from .features.snapshot import call_each
 from .files import not_utf8
 from .model import (
     CELL_INDEX,
@@ -156,18 +157,11 @@ def score_many(requests: Sequence[ScoreRequest], model: LogitModel, db: KnownDom
                lexicon: Optional[KeywordLexicon] = None) -> list[tuple[ScoreRequest, Optional[ScoreReport], Optional[Exception]]]:
     """Score a batch in input order: on threads only when a request is live."""
     lexicon = lexicon or default_lexicon()
-
-    def run(request: ScoreRequest):
-        try:
-            return request, score_url(request, model, db, lexicon), None
-        except Exception as exc:
-            return request, None, exc
-
-    if all(request.policy.offline_root is not None for request in requests):
-        return [run(r) for r in requests]
-    from concurrent.futures import ThreadPoolExecutor   # an offline run starts no thread
-    with ThreadPoolExecutor(max_workers=_BATCH_WORKERS) as pool:
-        return list(pool.map(run, requests))
+    live = any(request.policy.offline_root is None for request in requests)
+    results = call_each(lambda request: score_url(request, model, db, lexicon), requests,
+                        _BATCH_WORKERS if live else None)
+    return [(request, None, result) if isinstance(result, Exception) else (request, result, None)
+            for request, result in zip(requests, results)]
 
 
 # --------------------------------------------------------------------------

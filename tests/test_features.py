@@ -380,12 +380,12 @@ class TestLexicon:
 
 
 class TestOfflineFetch:
-    def test_single_site_root(self, tmp_path):
+    @pytest.mark.parametrize("url", ["http://a.test", "http://b.test"])
+    def test_root_index_is_not_a_site(self, tmp_path, url):
+        # a site is ROOT/<registrable domain>/ only; the root's own page answers no domain
         (tmp_path / "index.html").write_text(page("<p>hi</p>"), encoding="utf-8")
-        policy = FetchPolicy(offline_root=tmp_path)
-        snap = fetch_site("http://solo.test", policy)
-        assert len(snap.pages) == 1
-        assert snap.final_scheme_secure is False
+        with pytest.raises(NetworkUnreachableError, match="no offline fixture"):
+            fetch_site(url, FetchPolicy(offline_root=tmp_path))
 
     def test_manifest_controls_scheme(self, tmp_path):
         site = tmp_path / "upgraded.test"
@@ -432,8 +432,10 @@ class TestOfflineFetch:
 
     @pytest.mark.parametrize("listed", ["contact.html", [5], {"contact.html": 1}])
     def test_secondary_pages_must_be_a_list_of_names(self, tmp_path, listed):
-        (tmp_path / "index.html").write_text(page("<p>landing</p>"), encoding="utf-8")
-        (tmp_path / "manifest.json").write_text(
+        site = tmp_path / "solo.test"
+        site.mkdir()
+        (site / "index.html").write_text(page("<p>landing</p>"), encoding="utf-8")
+        (site / "manifest.json").write_text(
             json.dumps({"secondary_pages": listed}), encoding="utf-8")
         with pytest.raises(NetworkUnreachableError, match="secondary_pages is not a list of names"):
             fetch_site("http://solo.test", FetchPolicy(offline_root=tmp_path))
@@ -443,10 +445,14 @@ class TestOfflineFetch:
             fetch_site("http://nowhere.test", FetchPolicy(offline_root=tmp_path))
 
     def test_hostname_cannot_leave_offline_root(self, tmp_path):
-        (tmp_path / "index.html").write_text(page("<p>outside the root</p>"), encoding="utf-8")
+        # the site directory links out of the root, so the domain has no fixture
+        outside = tmp_path / "escape.test"
+        outside.mkdir()
+        (outside / "index.html").write_text(page("<p>outside the root</p>"), encoding="utf-8")
         (tmp_path / "sites").mkdir()
+        (tmp_path / "sites" / "escape.test").symlink_to(outside, target_is_directory=True)
         with pytest.raises(NetworkUnreachableError, match="no offline fixture"):
-            fetch_site("http://../", FetchPolicy(offline_root=tmp_path / "sites"))
+            fetch_site("http://escape.test", FetchPolicy(offline_root=tmp_path / "sites"))
 
     def test_fixture_pages_decode_by_the_live_rule(self, tmp_path):
         site = tmp_path / "cafe.test"
@@ -461,13 +467,15 @@ class TestOfflineFetch:
         assert "5 €" in snap.pages[1][1]
 
     def test_oversize_fixture_page_refused(self, tmp_path):
-        (tmp_path / "index.html").write_text(page("x" * 2_000_000), encoding="utf-8")
+        (tmp_path / "big.test").mkdir()
+        (tmp_path / "big.test" / "index.html").write_text(page("x" * 2_000_000), encoding="utf-8")
         with pytest.raises(BodyTooLargeError, match="index.html") as excinfo:
             fetch_site("http://big.test", FetchPolicy(offline_root=tmp_path))
         assert excinfo.value.url == "http://big.test/"
 
     def test_offline_mode_opens_no_sockets(self, tmp_path):
-        (tmp_path / "index.html").write_text(page(""), encoding="utf-8")
+        (tmp_path / "solo.test").mkdir()
+        (tmp_path / "solo.test" / "index.html").write_text(page(""), encoding="utf-8")
         reset_fetch_counters()
         fetch_site("http://solo.test", FetchPolicy(offline_root=tmp_path))
         counters = get_fetch_counters()

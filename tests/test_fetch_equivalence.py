@@ -1,10 +1,11 @@
 """The one page loop of ``fetch_site`` against the two loops it replaced.
 
 The reference below is the earlier ``_fetch_live``, ``_fetch_offline`` and
-``fetch_site``, kept verbatim with the ``_read_fixture_page`` and the worker
-count they used: live, candidate pages were read four at a time and a failed
-one was skipped; offline, the pages the manifest listed were read in turn
-and one that was missing or too large failed the whole fetch.  The current
+``fetch_site``, kept verbatim with the ``_read_fixture_page``,
+``_force_scheme`` and the worker count they used: live, candidate pages were
+read four at a time and a failed one was skipped; offline, the pages the
+manifest listed were read in turn and one that was missing or too large
+failed the whole fetch.  The current
 ``fetch_site`` must give the same snapshot, or raise the same error, on
 every fixture site, on the packaged demo fixtures and on the loopback
 server's routes.  The one deliberate difference is pinned at the end: an
@@ -15,7 +16,7 @@ import json
 from importlib import resources
 from pathlib import Path
 from typing import Optional
-from urllib.parse import urljoin, urlsplit
+from urllib.parse import urljoin, urlsplit, urlunsplit
 
 import pytest
 
@@ -32,7 +33,6 @@ from sourcescope.features.snapshot import (
     _count,
     _decode,
     _fixture_dir,
-    _force_scheme,
     _get_html,
 )
 from sourcescope.features.lexicon import KeywordLexicon, default_lexicon
@@ -79,6 +79,12 @@ def _read_fixture_page(path: Path, url: str) -> str:
     if len(body) > _MAX_BODY_BYTES:
         raise BodyTooLargeError(url, f"fixture page {path.name} exceeds {_MAX_BODY_BYTES} bytes")
     return _decode(body, None)
+
+
+def _force_scheme(url: str, secure: bool) -> str:
+    parts = urlsplit(_complete_url(url))
+    scheme = "https" if secure else "http"
+    return urlunsplit((scheme, parts.netloc, parts.path or "/", parts.query, ""))
 
 
 def _fetch_offline(url: str, policy: FetchPolicy) -> SiteSnapshot:

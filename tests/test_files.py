@@ -5,6 +5,7 @@ import re
 
 import pytest
 
+from sourcescope.errors import NetworkUnreachableError
 from sourcescope.features import default_lexicon, load_lexicon
 from sourcescope.files import DATA, naming, read_json_object, read_lines
 from sourcescope.screener import default_known_domains, load_known_domains
@@ -44,10 +45,10 @@ def test_text_not_utf8_refused_with_its_path(tmp_path, read):
         read(path)
 
 
-def test_json_object_with_byte_order_mark_and_options(tmp_path):
+def test_json_object_with_byte_order_mark(tmp_path):
     path = tmp_path / "doc.json"
-    path.write_text('\ufeff{"a": [1, NaN]}', encoding="utf-8")
-    assert read_json_object(path, Refused, parse_constant=str) == {"a": [1, "NaN"]}
+    path.write_text('\ufeff{"a": [1, "b"]}', encoding="utf-8")
+    assert read_json_object(path, Refused) == {"a": [1, "b"]}
 
 
 @pytest.mark.parametrize("text,refusal", [("[]", "not a JSON object"), ('"x"', "not a JSON object"),
@@ -67,3 +68,13 @@ def test_naming_puts_the_path_before_the_named_error_only():
     with pytest.raises(KeyError, match="^'x'$"):
         naming("doc.json", Refused, {}.__getitem__, "x")
     assert naming("doc.json", Refused, int, "5", base=8) == 5
+
+
+def test_naming_keeps_the_url_of_a_fetch_error():
+    def build():
+        raise NetworkUnreachableError("http://x.test", "final_url is not a string")
+    with pytest.raises(NetworkUnreachableError) as refusal:
+        naming("manifest.json", NetworkUnreachableError, build)
+    assert refusal.value.url == "http://x.test"
+    assert refusal.value.reason == "manifest.json: final_url is not a string"
+    assert str(refusal.value) == "manifest.json: final_url is not a string (http://x.test)"

@@ -31,7 +31,7 @@ from sourcescope.errors import (
 from sourcescope.features import load_lexicon
 from sourcescope.features.html_text import normalize_text
 from sourcescope.features.lexicon import _REQUIRED_ENGLISH, SECTION_KINDS
-from sourcescope.files import DATA, read_json_object
+from sourcescope.files import DATA, not_utf8, read_json_object
 from sourcescope.model import (
     _DOCUMENT_KEYS,
     _DOCUMENT_VERSION,
@@ -110,8 +110,17 @@ def _parse_constant(token: str):
 
 
 def reference_load_model_file(path: str | Path) -> ReferenceLogitModel:
-    return reference_load_model(read_json_object(path, ModelDocumentError,
-                                                 parse_constant=_parse_constant))
+    try:
+        text = Path(path).read_text(encoding="utf-8-sig")
+    except UnicodeDecodeError as exc:
+        raise ModelDocumentError(not_utf8(path, exc)) from None
+    try:
+        document = json.loads(text, parse_constant=_parse_constant)
+    except ValueError as exc:
+        raise ModelDocumentError(f"{path}: not valid JSON ({exc})") from None
+    if not isinstance(document, dict):
+        raise ModelDocumentError(f"{path}: not a JSON object")
+    return reference_load_model(document)
 
 
 @dataclass(frozen=True)

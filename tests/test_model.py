@@ -23,7 +23,6 @@ from sourcescope.model import (
     FitOptions,
     LabeledDataset,
     LogitModel,
-    fit_intercept_only,
     fit_logit,
     load_model,
     load_model_file,
@@ -167,17 +166,6 @@ class TestLogLikelihood:
 
 
 class TestFit:
-    def test_intercept_only_balanced(self):
-        data = dataset_from_counts([({}, 1, 200), ({}, 0, 200)])
-        intercept, lnl = fit_intercept_only(data)
-        assert intercept == pytest.approx(0.0, abs=1e-12)
-        assert lnl == pytest.approx(400 * math.log(0.5), abs=1e-9)
-
-    def test_intercept_only_unbalanced(self):
-        data = dataset_from_counts([({}, 1, 300), ({}, 0, 100)])
-        intercept, _ = fit_intercept_only(data)
-        assert intercept == pytest.approx(math.log(3.0), abs=1e-12)
-
     def test_saturated_two_by_two(self):
         data = dataset_from_counts([
             ({"padlock": 1}, 1, 30), ({"padlock": 1}, 0, 10),

@@ -14,6 +14,7 @@ from sourcescope.errors import (
     DuplicateHeaderError,
     EmptyFileError,
     MissingColumnError,
+    NetworkUnreachableError,
     NonBinaryCellError,
     NotUtf8Error,
     ZeroMarginError,
@@ -121,6 +122,20 @@ class TestScoreUrl:
         assert outcomes[0][1].verdict == "share"
         assert outcomes[1][2] is not None          # fixture missing -> error
         assert outcomes[2][1].path == "mimicry-screen"
+
+    def test_offline_batch_returns_the_one_missing_fixture_in_place(self, fixture_sites):
+        urls = ["http://en-full.test", "http://de-full.test", "http://missing.test",
+                "http://en-bare.test", "http://fr-full.test"]
+        requests = [ScoreRequest(url, policy=policy_for(fixture_sites)) for url in urls]
+        outcomes = score_many(requests, MODEL_II, DB)
+        assert [request for request, _, _ in outcomes] == requests
+        failed = [(request.url, exc) for request, _, exc in outcomes if exc is not None]
+        assert [url for url, _ in failed] == ["http://missing.test"]
+        assert isinstance(failed[0][1], NetworkUnreachableError)
+        assert "no offline fixture" in str(failed[0][1])
+        assert [report for _, report, _ in outcomes] == [
+            None if url == "http://missing.test" else score_url(request, MODEL_II, DB)
+            for url, request in zip(urls, requests)]
 
     def test_offline_batch_starts_no_thread(self, fixture_sites, monkeypatch):
         def refuse(thread):
