@@ -18,7 +18,7 @@ from typing import Optional
 
 from . import __version__
 from .errors import EmptyDataError, EstimationError, SourceScopeError
-from .features import FEATURE_NAMES, FetchPolicy, features_from_snapshot, fetch_site, load_lexicon
+from .features import FetchPolicy, features_from_snapshot, fetch_site, load_lexicon
 from .files import DATA, read_lines
 from .model import MODEL_II, load_model_file
 from .pipeline import (
@@ -78,7 +78,7 @@ def _format_p(p: float) -> str:
 
 
 def _features_line(features) -> str:
-    return " ".join(f"{name}={features.get(name)}" for name in FEATURE_NAMES)
+    return " ".join(f"{name}={bit}" for name, bit in features.as_dict().items())
 
 
 def _report_payload(report) -> dict:
@@ -271,7 +271,7 @@ def _analysis_lines(report: AnalysisReport, alpha: float) -> list[str]:
             elif i == j:
                 cells.append(f"{'1':>{width}s}")
             else:
-                est = report.correlations.estimate(i, j)
+                est = report.correlations.estimates[i][j]
                 mark = ("*" if est.p_value < alpha else "") + ("^" if est.boundary else "")
                 cells.append(f"{est.rho:+.4f}{mark:s}".rjust(width))
         lines.append(f"{row_name:<{width}s}" + "".join(cells))
@@ -284,6 +284,8 @@ def _analysis_lines(report: AnalysisReport, alpha: float) -> list[str]:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
+    if not 0.0 < args.alpha < 1.0:
+        raise ValueError(f"alpha must lie in (0, 1), got {args.alpha!r}")
     report = analyze(args.dataset, yates=args.yates)
     _emit(args, _analysis_payload(report, args.alpha), _analysis_lines(report, args.alpha))
     return EXIT_SHARE
@@ -368,6 +370,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     if args.command == "score" and not args.url and not args.batch:
         parser.error("score needs a URL or --batch FILE")
+    if args.command == "score" and args.url and args.batch:
+        parser.error("score takes a URL or --batch FILE, not both")
     try:
         return args.func(args)
     except EstimationError as exc:

@@ -21,10 +21,10 @@ from .model import (
     LabeledDataset,
     LogitModel,
     cell_design,
+    clamped_sigmoid,
     dot,
     gram,
     invert,
-    predict_probability,
     scatter,
     sigmoid,
 )
@@ -160,9 +160,10 @@ def confusion_matrix(model: LogitModel, data: LabeledDataset,
     """Classify every row (fake iff probability > cutoff) and tabulate."""
     if not 0.0 < cutoff < 1.0:
         raise ValueError(f"cutoff must lie in (0, 1), got {cutoff!r}")
+    beta = [model.intercept, *model.coefficients.values()]
     cells = [0, 0, 0, 0]  # TR, FF, FR, TF
-    for bits, label, count in data.cells(model.features):
-        predicted_fake = predict_probability(model, dict(zip(model.features, bits))) > cutoff
+    for x, label, count in cell_design(data, model.features):
+        predicted_fake = clamped_sigmoid(dot(x, beta)) > cutoff
         cells[2 * label + predicted_fake] += count
     return ConfusionMatrix(*cells, cutoff=cutoff)
 

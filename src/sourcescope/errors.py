@@ -66,7 +66,7 @@ class EmptyDatabaseError(SourceScopeError):
 # --- model fitting / scoring -------------------------------------------------
 
 class MissingFeatureError(SourceScopeError):
-    """Scoring input lacks a feature the model names."""
+    """``LabeledDataset.cells`` was given a name that is not one of the five features."""
 
 
 class SingularDesignError(EstimationError):

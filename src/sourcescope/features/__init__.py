@@ -3,7 +3,6 @@
 from .detectors import (
     FEATURE_NAMES,
     FeatureVector,
-    detect_padlock,
     extract_features,
     features_from_snapshot,
 )
@@ -21,7 +20,6 @@ from .snapshot import (
 __all__ = [
     "FEATURE_NAMES",
     "FeatureVector",
-    "detect_padlock",
     "extract_features",
     "features_from_snapshot",
     "PageText",

@@ -18,7 +18,6 @@ from .snapshot import FetchPolicy, SiteSnapshot, fetch_site
 __all__ = [
     "FeatureVector",
     "FEATURE_NAMES",
-    "detect_padlock",
     "extract_features",
 ]
 
@@ -29,11 +28,6 @@ _WORD_CHAR = re.compile(r"\w")
 _PHONE_PROXIMITY = 40
 _MIN_DIGITS, _MAX_DIGITS = 7, 15
 _URL_UNSAFE = str.maketrans("", "", "\t\r\n")     # removed from a URL by urlsplit
-
-
-def detect_padlock(snapshot: SiteSnapshot) -> int:
-    """1 iff the connection that served the final URL was TLS-secured."""
-    return int(snapshot.final_scheme_secure)
 
 
 def _sections_unseen(page: PageText, hrefs: list[str], kinds: tuple[str, ...],
@@ -134,7 +128,7 @@ def features_from_snapshot(snapshot: SiteSnapshot, lexicon: Optional[KeywordLexi
         if telephone and not unseen:
             break
     return FeatureVector(
-        padlock=detect_padlock(snapshot),
+        padlock=int(snapshot.final_scheme_secure),
         contact=int("contact" not in unseen),
         telephone=int(telephone),
         about=int("about" not in unseen),

@@ -325,12 +325,13 @@ def _manifest_fields(manifest: dict, url: str) -> tuple[str, list[str]]:
     parts = urlsplit(_complete_url(final_url))
     scheme = "https" if secure else "http"
     final_url = urlunsplit((scheme, parts.netloc, parts.path or "/", parts.query, ""))
-    return final_url, listed[:_MAX_SECONDARY_PAGES]
+    return final_url, listed
 
 
 def _fixture_source(url: str, root: Path) -> tuple[Page, list[str], Callable[[str], tuple]]:
-    """The saved landing page, the URLs of the pages its manifest lists, and
-    the reader of one of them; a listed name outside the site is refused."""
+    """The saved landing page, the first five distinct URLs of the pages its
+    manifest lists, and the reader of one of them; each URL is read from the
+    first name that gives it, and a name to read outside the site is refused."""
     site_dir = _fixture_dir(root, url)
     manifest_path = site_dir / "manifest.json"
     refuse = functools.partial(NetworkUnreachableError, url)
@@ -338,13 +339,16 @@ def _fixture_source(url: str, root: Path) -> tuple[Page, list[str], Callable[[st
     final_url, listed = naming(manifest_path, NetworkUnreachableError, _manifest_fields, manifest, url)
 
     landing = Page((final_url, _read_fixture_page(site_dir, "index.html", final_url)))
-    inside = site_dir.resolve()
+    names: dict[str, str] = {}
     for name in listed:
+        names.setdefault(urljoin(final_url, name), name)
+        if len(names) >= _MAX_SECONDARY_PAGES:
+            break
+    inside = site_dir.resolve()
+    for name in names.values():
         if not (site_dir / name).resolve().is_relative_to(inside):
             raise NetworkUnreachableError(url, f"fixture page {name!r} lies outside {site_dir}")
-    candidates = [urljoin(final_url, name) for name in listed]
-    names = dict(zip(candidates, listed))
-    return landing, candidates, lambda page_url: (
+    return landing, list(names), lambda page_url: (
         page_url, _read_fixture_page(site_dir, names[page_url], page_url))
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from types import MappingProxyType
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import (
     ConvergenceError,
@@ -78,11 +78,6 @@ class FeatureVector:
     def as_dict(self) -> dict[str, int]:
         return {name: getattr(self, name) for name in FEATURE_NAMES}
 
-    def get(self, name: str) -> int:
-        if name not in FEATURE_NAMES:
-            raise MissingFeatureError(f"unknown feature {name!r}")
-        return getattr(self, name)
-
 
 def sigmoid(z: float) -> float:
     """Numerically stable logistic; never exponentiates a large positive."""
@@ -127,15 +122,6 @@ class LogitModel:
     @property
     def features(self) -> tuple[str, ...]:
         return tuple(self.coefficients)
-
-    def linear_predictor(self, x: Union[FeatureVector, Mapping[str, int]]) -> float:
-        values = x.as_dict() if isinstance(x, FeatureVector) else dict(x)
-        z = self.intercept
-        for name, beta in self.coefficients.items():
-            if name not in values:
-                raise MissingFeatureError(f"input lacks feature {name!r}")
-            z += beta * values[name]
-        return z
 
 
 # Reference coefficient sets shipped with the package.  model2 (four
@@ -295,15 +281,16 @@ _P_FLOOR = math.nextafter(0.0, 1.0)
 _P_CEIL = math.nextafter(1.0, 0.0)
 
 
-def predict_probability(model: LogitModel,
-                        x: Union[FeatureVector, Mapping[str, int]]) -> float:
-    """Probability the site is a fake-news source under the logit model.
+def predict_probability(model: LogitModel, x: FeatureVector) -> float:
+    """Probability the site is a fake-news source under the logit model."""
+    beta = [model.intercept, *model.coefficients.values()]
+    return clamped_sigmoid(dot((1, *(getattr(x, name) for name in model.features)), beta))
 
-    Clamped to the open interval: extreme linear predictors round to the
-    nearest representable value inside (0, 1) instead of 0 or 1 exactly.
-    """
-    p = sigmoid(model.linear_predictor(x))
-    return min(max(p, _P_FLOOR), _P_CEIL)
+
+def clamped_sigmoid(z: float) -> float:
+    """:func:`sigmoid` clamped to the open interval: extreme linear predictors
+    round to the nearest representable value inside (0, 1), not 0 or 1 exactly."""
+    return min(max(sigmoid(z), _P_FLOOR), _P_CEIL)
 
 
 def _log_likelihood(cells: list, beta: Sequence[float]) -> float:

@@ -331,13 +331,17 @@ def _validate_header(header: list[str], path: Path) -> None:
 # --------------------------------------------------------------------------
 
 def resolve_features(spec: str | Sequence[str]) -> tuple[str, ...]:
-    """Map 'model1'/'model2' or an explicit name list to a feature tuple."""
+    """Map 'model1'/'model2' or an explicit name list to a feature tuple; a
+    list that names no feature, or one feature twice, is refused."""
+    names = spec
     if isinstance(spec, str):
         key = spec.strip().casefold()
         if key in FEATURE_SUBSETS:
             return tuple(FEATURE_SUBSETS[key])
-        spec = [part.strip() for part in spec.split(",") if part.strip()]
-    return tuple(spec)
+        names = [part.strip() for part in spec.split(",") if part.strip()]
+    if not names or len(set(names)) < len(names):
+        raise ValueError(f"feature list {spec!r} must name at least one feature, each once")
+    return tuple(names)
 
 
 @dataclass(frozen=True)

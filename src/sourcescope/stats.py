@@ -341,9 +341,6 @@ class TetrachoricMatrix:
         assert est is not None
         return est.rho
 
-    def estimate(self, i: int, j: int) -> Optional[TetrachoricEstimate]:
-        return self.estimates[i][j]
-
 
 def tetrachoric_matrix(data) -> TetrachoricMatrix:
     """Pairwise tetrachoric estimates over :data:`VARIABLES`; unit diagonal,

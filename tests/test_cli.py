@@ -490,6 +490,29 @@ class TestConfigHandling:
         assert err.startswith("error: FetchPolicy.timeout must be finite")
         assert "Traceback" not in err
 
+    def test_score_with_url_and_batch_is_a_usage_error(self, capsys, offline, tmp_path):
+        batch = tmp_path / "urls.txt"
+        batch.write_text("https://en-full.test\n", encoding="utf-8")
+        with pytest.raises(SystemExit) as exit_info:
+            main(["score", "https://en-bare.test", "--batch", str(batch), *offline])
+        assert exit_info.value.code == 2
+        assert "score takes a URL or --batch FILE, not both" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv,message", [
+        (["train", "--features", "padlock,padlock"],
+         "feature list 'padlock,padlock' must name at least one feature, each once"),
+        (["train", "--features", " "], "feature list ' ' must name at least one feature, each once"),
+        (["analyze", "--alpha", "0"], "alpha must lie in (0, 1), got 0.0"),
+        (["analyze", "--alpha", "1"], "alpha must lie in (0, 1), got 1.0"),
+        (["analyze", "--alpha", "nan"], "alpha must lie in (0, 1), got nan"),
+    ])
+    def test_flag_value_refusal_exit_four(self, capsys, dataset_csv, tmp_path, argv, message):
+        command, *flags = argv
+        code, out, err = run_cli(capsys, command, str(dataset_csv), *flags,
+                                 *(["--model-out", str(tmp_path / "m.json")] if command == "train" else []))
+        assert (code, out, err) == (4, "", f"error: {message}\n")
+        assert not (tmp_path / "m.json").exists()
+
     def test_invalid_threshold_exit_four(self, capsys, offline):
         code, _, _ = run_cli(capsys, "score", "http://en-bare.test",
                              "--threshold", "1.5", *offline)

@@ -76,7 +76,7 @@ def _analysis_payload(report: AnalysisReport) -> dict:
             if i == j:
                 row.append({"rho": 1.0})
             else:
-                est = report.correlations.estimate(i, j)
+                est = report.correlations.estimates[i][j]
                 row.append({"rho": est.rho, "p_value": est.p_value,
                             "boundary": est.boundary})
         matrix.append(row)

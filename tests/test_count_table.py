@@ -39,7 +39,7 @@ TOL = 1e-10
 
 
 def _design(rows, features):
-    X = np.array([[1.0, *(fv.get(name) for name in features)] for fv, _ in rows])
+    X = np.array([[1.0, *(getattr(fv, name) for name in features)] for fv, _ in rows])
     y = np.array([label for _, label in rows], dtype=float)
     return X, y
 
@@ -205,7 +205,7 @@ def test_analysis_matches_row_reference(tmp_path, seed, n):
         table = ContingencyTable2x2(*reference_crosstab(rows, a, b))
         assert crosstab(data, a, b) == table
         expected = tetrachoric(table)
-        got = report.correlations.estimate(i, j)
+        got = report.correlations.estimates[i][j]
         assert abs(got.rho - expected.rho) < TOL
         assert abs(got.p_value - expected.p_value) < TOL
     for a, b, result in report.chi_square_rows:

@@ -22,7 +22,6 @@ from sourcescope.features import (
     SECTION_KINDS,
     KeywordLexicon,
     default_lexicon,
-    detect_padlock,
     features_from_snapshot,
     normalize_text,
     parse_page,
@@ -102,7 +101,7 @@ def reference_detect_telephone(snapshot, lexicon):
 
 def reference_features(snapshot, lexicon):
     return {
-        "padlock": detect_padlock(snapshot),
+        "padlock": int(snapshot.final_scheme_secure),
         "contact": reference_detect_section(snapshot, lexicon, "contact"),
         "telephone": reference_detect_telephone(snapshot, lexicon),
         "about": reference_detect_section(snapshot, lexicon, "about"),

@@ -19,7 +19,14 @@ from sourcescope.diagnostics import (
     wald_tests,
 )
 from sourcescope.errors import SingleClassDataError, SingularDesignError
-from sourcescope.model import CELL_INDEX, MODEL_II, LabeledDataset, LogitModel, fit_logit
+from sourcescope.model import (
+    CELL_INDEX,
+    MODEL_II,
+    LabeledDataset,
+    LogitModel,
+    fit_logit,
+    predict_probability,
+)
 from tests.synth import balanced_dataset
 from tests.test_model import dataset_from_counts, fv, random_dataset
 
@@ -195,6 +202,15 @@ class TestConfusionMatrix:
         data = dataset_from_counts([({}, 1, 7), ({}, 0, 3)])
         cm = confusion_matrix(model, data, 0.5)
         assert cm.counts() == (3, 0, 7, 0)
+
+    def test_probability_that_rounds_to_one_is_clamped_below_the_cutoff(self):
+        # sigmoid(40) is 1.0 in floats; clamped, it equals the highest cutoff
+        # and is not above it, so every row is classified reliable
+        model = LogitModel(intercept=40.0, coefficients={"padlock": 0.0})
+        cutoff = math.nextafter(1.0, 0.0)
+        assert predict_probability(model, fv()) == cutoff
+        data = dataset_from_counts([({}, 1, 3), ({}, 0, 2)])
+        assert confusion_matrix(model, data, cutoff).counts() == (2, 0, 3, 0)
 
     @pytest.mark.parametrize("cutoff", [0.0, 1.0, math.nan])
     def test_cutoff_outside_the_open_interval_refused(self, cutoff):

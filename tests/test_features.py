@@ -5,6 +5,7 @@ import json
 import re
 import threading
 from importlib import resources
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -17,7 +18,6 @@ from sourcescope.features import (
     KeywordLexicon,
     SiteSnapshot,
     default_lexicon,
-    detect_padlock,
     extract_features,
     fetch_site,
     features_from_snapshot,
@@ -70,13 +70,13 @@ class TestPolicyAndSnapshot:
     def test_padlock_derives_from_final_url(self, final_url, secure):
         snap = SiteSnapshot("http://a.test", final_url, ((final_url, "<html></html>"),))
         assert snap.final_scheme_secure is secure
-        assert detect_padlock(snap) == int(secure)
+        assert features_from_snapshot(snap, LEX).padlock == int(secure)
 
     def test_padlock_follows_the_upgrade_redirect(self, fixture_sites):
         snap = fetch_site("http://redirect-upgrade.test", FetchPolicy(offline_root=fixture_sites))
         assert snap.final_url == "https://redirect-upgrade.test/"
         assert snap.final_scheme_secure is True
-        assert detect_padlock(snap) == 1
+        assert features_from_snapshot(snap, LEX).padlock == 1
 
     def test_pages_read_as_pairs_and_keep_their_parse(self):
         snap = SiteSnapshot("http://a.test", "http://a.test",
@@ -130,52 +130,52 @@ class TestHtmlRegions:
 
 class TestDetectPadlock:
     def test_secure(self):
-        assert detect_padlock(make_snapshot(page(""), secure=True)) == 1
+        assert features_from_snapshot(make_snapshot(page(""), secure=True), LEX).padlock == 1
 
     def test_insecure(self):
-        assert detect_padlock(make_snapshot(page(""), secure=False)) == 0
+        assert features_from_snapshot(make_snapshot(page(""), secure=False), LEX).padlock == 0
 
 
 class TestDetectSection:
     def test_anchor_match(self):
         snap = make_snapshot(page('<a href="/c">Contact us</a>'))
-        assert features_from_snapshot(snap, LEX).get("contact") == 1
+        assert features_from_snapshot(snap, LEX).contact == 1
 
     def test_footer_synonym_match(self):
         snap = make_snapshot(page("<footer>Legal notes</footer>"))
-        assert features_from_snapshot(snap, LEX).get("terms") == 1
+        assert features_from_snapshot(snap, LEX).terms == 1
 
     def test_heading_match(self):
         snap = make_snapshot(page("<h3>Who we are</h3>"))
-        assert features_from_snapshot(snap, LEX).get("about") == 1
+        assert features_from_snapshot(snap, LEX).about == 1
 
     def test_link_path_match(self):
         snap = make_snapshot(page('<a href="/terms">fine print</a>'))
-        assert features_from_snapshot(snap, LEX).get("terms") == 1
+        assert features_from_snapshot(snap, LEX).terms == 1
 
     def test_empty_page(self):
         snap = make_snapshot(page(""))
         for kind in ("contact", "about", "terms"):
-            assert features_from_snapshot(snap, LEX).get(kind) == 0
+            assert features_from_snapshot(snap, LEX).as_dict()[kind] == 0
 
     def test_body_text_alone_does_not_count(self):
         # phrases must appear in links, headings or footers, not prose
         snap = make_snapshot(page("<p>please contact us tomorrow</p>"))
-        assert features_from_snapshot(snap, LEX).get("contact") == 0
+        assert features_from_snapshot(snap, LEX).contact == 0
 
     def test_case_and_whitespace_folding(self):
         snap = make_snapshot(page('<a href="/x">COnTaCt&nbsp;&nbsp;US</a>'))
-        assert features_from_snapshot(snap, LEX).get("contact") == 1
+        assert features_from_snapshot(snap, LEX).contact == 1
 
     def test_unicode_casefold(self):
         snap = make_snapshot(page('<a href="/u">ÜBER UNS</a>'))
-        assert features_from_snapshot(snap, LEX).get("about") == 1
+        assert features_from_snapshot(snap, LEX).about == 1
 
     def test_language_neutrality(self):
         for body, kind in ((' <a href="/k">Kontakt</a>', "contact"),
                            ("<h4>Chi siamo</h4>", "about"),
                            ("<footer>mentions légales</footer>", "terms")):
-            assert features_from_snapshot(make_snapshot(page(body)), LEX).get(kind) == 1
+            assert features_from_snapshot(make_snapshot(page(body)), LEX).as_dict()[kind] == 1
 
     @pytest.mark.parametrize("href,kind", [
         ("tel:1-800-CONTACT", "contact"), ("TEL:1-800-CONTACT", "contact"),
@@ -185,7 +185,7 @@ class TestDetectSection:
     def test_phone_link_number_is_not_a_section_path(self, href, kind):
         # whatever its case or padding, a phone link is a telephone, not a path
         bits = features_from_snapshot(make_snapshot(page(f'<a href="{href}">call</a>')), LEX)
-        assert (bits.get(kind), bits.telephone) == (0, 1)
+        assert (bits.as_dict()[kind], bits.telephone) == (0, 1)
 
 
 class TestDetectTelephone:
@@ -396,7 +396,7 @@ class TestOfflineFetch:
         snap = fetch_site("http://upgraded.test", FetchPolicy(offline_root=tmp_path))
         assert snap.final_scheme_secure is True
         assert snap.final_url.startswith("https://")
-        assert detect_padlock(snap) == 1
+        assert features_from_snapshot(snap, LEX).padlock == 1
 
     def test_manifest_with_byte_order_mark(self, tmp_path):
         site = tmp_path / "upgraded.test"
@@ -417,6 +417,34 @@ class TestOfflineFetch:
         snap = fetch_site("http://multi.test", FetchPolicy(offline_root=tmp_path))
         assert len(snap.pages) == 2
         assert "landing" in snap.pages[0][1]
+
+    def test_each_listed_url_is_read_once(self, tmp_path, monkeypatch):
+        site = tmp_path / "multi.test"
+        site.mkdir()
+        (site / "index.html").write_text(page("<p>landing</p>"), encoding="utf-8")
+        (site / "contact.html").write_text(page("<p>contact</p>"), encoding="utf-8")
+        (site / "manifest.json").write_text(json.dumps(
+            {"secondary_pages": ["contact.html", "./contact.html", "contact.html"]}), encoding="utf-8")
+        opened, open_file = [], Path.open
+
+        def recording_open(path, *args, **kwargs):
+            opened.append(path.name)
+            return open_file(path, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "open", recording_open)
+        snap = fetch_site("http://multi.test", FetchPolicy(offline_root=tmp_path))
+        assert [url for url, _ in snap.pages] == ["http://multi.test/", "http://multi.test/contact.html"]
+        assert opened.count("contact.html") == 1
+
+    def test_the_first_five_distinct_listed_urls_are_read(self, tmp_path):
+        listed = ["p0.html", "p0.html", *(f"p{i}.html" for i in range(1, 7))]
+        site = tmp_path / "many.test"
+        site.mkdir()
+        for name in ("index.html", *listed):
+            (site / name).write_text(page(f"<p>{name}</p>"), encoding="utf-8")
+        (site / "manifest.json").write_text(json.dumps({"secondary_pages": listed}), encoding="utf-8")
+        snap = fetch_site("http://many.test", FetchPolicy(offline_root=tmp_path))
+        assert [url for url, _ in snap.pages[1:]] == [f"http://many.test/p{i}.html" for i in range(5)]
 
     @pytest.mark.parametrize("name", ["../outside.html", "sub/../../outside.html", "{abs}"])
     def test_secondary_page_outside_site_rejected(self, tmp_path, name):

@@ -8,8 +8,10 @@ manifest listed were read in turn and one that was missing or too large
 failed the whole fetch.  The current
 ``fetch_site`` must give the same snapshot, or raise the same error, on
 every fixture site, on the packaged demo fixtures and on the loopback
-server's routes.  The one deliberate difference is pinned at the end: an
-offline page that cannot be read is now skipped, as a live one always was.
+server's routes.  Two differences are deliberate and pinned: a manifest
+that lists one URL twice has it read once (``test_manifests["twice"]``),
+and an offline page that cannot be read is now skipped, as a live one
+always was (at the end).
 """
 
 import json
@@ -179,7 +181,14 @@ def test_manifests(tmp_path, case):
     (site / "manifest.json").write_text(json.dumps({
         "final_url": "https://listed.test/news/", "secondary_pages": LISTED[case]}),
         encoding="utf-8")
-    assert_same("http://listed.test", FetchPolicy(offline_root=tmp_path / "root"))
+    url, policy = "http://listed.test", FetchPolicy(offline_root=tmp_path / "root")
+    if case != "twice":
+        assert_same(url, policy)
+        return
+    # the reference read the listed page twice; each URL is now read once
+    requested, final, pages, skipped = outcome(fetch_site, url, policy)
+    assert len(pages) == 3
+    assert outcome(snapshot.fetch_site, url, policy) == (requested, final, pages[:2], skipped)
 
 
 LIVE_PATHS = ["/", "/hop/3", "/many", "/partial", "/badlink", "/intl", "/moved-intl",

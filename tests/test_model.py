@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from sourcescope.errors import (
-    MissingFeatureError,
     ModelDocumentError,
     NonFiniteValueError,
     SeparationError,
@@ -74,21 +73,17 @@ class TestPredict:
 
     def test_stable_at_extreme_linear_predictor(self):
         model = LogitModel(intercept=700.0, coefficients={"padlock": -1400.0})
-        high = predict_probability(model, {"padlock": 0})
-        low = predict_probability(model, {"padlock": 1})
+        high = predict_probability(model, fv(padlock=0))
+        low = predict_probability(model, fv(padlock=1))
         assert 0.0 < low < high < 1.0
-
-    def test_missing_feature(self):
-        with pytest.raises(MissingFeatureError):
-            predict_probability(MODEL_II, {"padlock": 1})
 
     def test_monotone_in_negative_coefficients(self):
         # every negative coefficient must strictly lower the probability
         base = {name: 0 for name in FEATURE_NAMES}
         for name, beta in MODEL_II.coefficients.items():
             flipped = dict(base, **{name: 1})
-            p0 = predict_probability(MODEL_II, base)
-            p1 = predict_probability(MODEL_II, flipped)
+            p0 = predict_probability(MODEL_II, fv(**base))
+            p1 = predict_probability(MODEL_II, fv(**flipped))
             assert (p1 < p0) == (beta < 0)
 
 

@@ -315,6 +315,11 @@ class TestTrain:
         assert resolve_features("padlock,about") == ("padlock", "about")
         assert resolve_features(("terms",)) == ("terms",)
 
+    @pytest.mark.parametrize("spec", ["padlock,padlock", " ", ",", "", ("terms", "terms"), ()])
+    def test_resolve_features_refuses_repeated_and_empty_lists(self, spec):
+        with pytest.raises(ValueError, match=re.escape(f"feature list {spec!r} must name")):
+            resolve_features(spec)
+
 
 class TestAnalyze:
     def test_report_shape(self, tmp_path):
@@ -351,7 +356,7 @@ class TestAnalyze:
         csv_path = tmp_path / "boundary.csv"
         csv_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         report = analyze(csv_path)
-        est = report.correlations.estimate(0, 1)
+        est = report.correlations.estimates[0][1]
         assert est.boundary
 
     def test_independent_data_has_no_stars(self, tmp_path):
@@ -367,7 +372,7 @@ class TestAnalyze:
         size = len(report.variables)
         for i in range(size):
             for j in range(i + 1, size):
-                assert report.correlations.estimate(i, j).p_value >= 0.0001
+                assert report.correlations.estimates[i][j].p_value >= 0.0001
 
     def test_constant_column_names_pair(self, tmp_path):
         lines = ["label,padlock,contact,telephone,about,terms"]

@@ -146,7 +146,7 @@ class TestTetrachoricMatrix:
         rows += [_row((0, 0, 1, 1, 1), 0) for _ in range(30)]
         data = LabeledDataset(tuple(rows))
         matrix = tetrachoric_matrix(data)
-        est = matrix.estimate(0, 1)  # label vs padlock
+        est = matrix.estimates[0][1]  # label vs padlock
         assert est.boundary
         assert est.rho == RHO_MAX
 
