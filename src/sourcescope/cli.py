@@ -163,7 +163,7 @@ def _cmd_score(args: argparse.Namespace) -> int:
 def _cmd_extract(args: argparse.Namespace) -> int:
     lexicon = load_lexicon(args.lexicon)
     snapshot = fetch_site(args.url, _policy(args), lexicon)
-    features = features_from_snapshot(snapshot, lexicon, source_url=args.url)
+    features = features_from_snapshot(snapshot, lexicon)
     payload = features.as_dict()
     if snapshot.skipped_pages:
         payload["skipped_pages"] = _skipped_payload(snapshot.skipped_pages)

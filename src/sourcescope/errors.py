@@ -65,10 +65,6 @@ class EmptyDatabaseError(SourceScopeError):
 
 # --- model fitting / scoring -------------------------------------------------
 
-class MissingFeatureError(SourceScopeError):
-    """``LabeledDataset.cells`` was given a name that is not one of the five features."""
-
-
 class SingularDesignError(EstimationError):
     """Design matrix is rank deficient (collinear or constant columns)."""
 

@@ -97,9 +97,8 @@ def _keyword_near_number(text: str, lexicon: KeywordLexicon) -> bool:
 def extract_features(url: str, policy: FetchPolicy,
                      lexicon: Optional[KeywordLexicon] = None) -> FeatureVector:
     """Fetch a site and reduce it to the five binary predictors."""
-    lexicon = lexicon or default_lexicon()
     snapshot = fetch_site(url, policy, lexicon)
-    return features_from_snapshot(snapshot, lexicon, source_url=url)
+    return features_from_snapshot(snapshot, lexicon)
 
 
 def features_from_snapshot(snapshot: SiteSnapshot, lexicon: Optional[KeywordLexicon] = None,

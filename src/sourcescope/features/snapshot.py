@@ -257,34 +257,44 @@ def _decode(body: bytes, charset: Optional[str]) -> str:
         return body.decode("windows-1252", errors="replace")
 
 
+def _first_pages(landing_url: str, urls: Iterable[str]) -> list[str]:
+    """The first five distinct URLs of ``urls`` other than the landing page's own."""
+    seen: dict[str, None] = {}
+    for url in urls:
+        if url != landing_url:
+            seen.setdefault(url, None)
+            if len(seen) >= _MAX_SECONDARY_PAGES:
+                break
+    return list(seen)
+
+
 def _candidate_links(landing_url: str, page: PageText, lexicon: KeywordLexicon) -> list[str]:
     """Same-domain links whose text or path shows any section kind."""
     try:
         site_domain = normalize_domain(landing_url)
     except UnparseableUrlError:
         return []
-    seen: dict[str, None] = {}
-    for text, href in page.anchors:
-        if not href or href.startswith("#"):
-            continue
-        try:
-            parts = urlsplit(urljoin(landing_url, href))
-        except ValueError:          # e.g. an unclosed "[" host: skip this link only
-            continue
-        if parts.scheme not in ("http", "https"):
-            continue
-        resolved = urlunsplit((parts.scheme, parts.netloc, parts.path, parts.query, ""))
-        if resolved == landing_url or not lexicon.sections_shown(f"{text}\n{normalize_text(parts.path)}"):
-            continue
-        try:
-            if normalize_domain(resolved) != site_domain:
+
+    def shown():
+        for text, href in page.anchors:
+            if not href or href.startswith("#"):
                 continue
-        except UnparseableUrlError:
-            continue
-        seen.setdefault(resolved, None)
-        if len(seen) >= _MAX_SECONDARY_PAGES:
-            break
-    return list(seen)
+            try:
+                parts = urlsplit(urljoin(landing_url, href))
+            except ValueError:          # e.g. an unclosed "[" host: skip this link only
+                continue
+            if parts.scheme not in ("http", "https"):
+                continue
+            resolved = urlunsplit((parts.scheme, parts.netloc, parts.path, parts.query, ""))
+            if not lexicon.sections_shown(f"{text}\n{normalize_text(parts.path)}"):
+                continue
+            try:
+                same_site = normalize_domain(resolved) == site_domain
+            except UnparseableUrlError:
+                continue
+            if same_site:
+                yield resolved
+    return _first_pages(landing_url, shown())
 
 
 def _fixture_dir(root: Path, url: str) -> Path:
@@ -329,9 +339,9 @@ def _manifest_fields(manifest: dict, url: str) -> tuple[str, list[str]]:
 
 
 def _fixture_source(url: str, root: Path) -> tuple[Page, list[str], Callable[[str], tuple]]:
-    """The saved landing page, the first five distinct URLs of the pages its
-    manifest lists, and the reader of one of them; each URL is read from the
-    first name that gives it, and a name to read outside the site is refused."""
+    """The saved landing page, the candidate URLs its manifest's names give
+    (:func:`_first_pages`), and the reader of one of them; each URL is read from
+    the first name that gives it, and a name to read outside the site is refused."""
     site_dir = _fixture_dir(root, url)
     manifest_path = site_dir / "manifest.json"
     refuse = functools.partial(NetworkUnreachableError, url)
@@ -342,13 +352,12 @@ def _fixture_source(url: str, root: Path) -> tuple[Page, list[str], Callable[[st
     names: dict[str, str] = {}
     for name in listed:
         names.setdefault(urljoin(final_url, name), name)
-        if len(names) >= _MAX_SECONDARY_PAGES:
-            break
+    candidates = _first_pages(final_url, names)
     inside = site_dir.resolve()
-    for name in names.values():
+    for name in map(names.get, candidates):
         if not (site_dir / name).resolve().is_relative_to(inside):
             raise NetworkUnreachableError(url, f"fixture page {name!r} lies outside {site_dir}")
-    return landing, list(names), lambda page_url: (
+    return landing, candidates, lambda page_url: (
         page_url, _read_fixture_page(site_dir, names[page_url], page_url))
 
 

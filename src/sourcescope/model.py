@@ -23,7 +23,6 @@ from typing import Iterable, Mapping, Optional, Sequence
 from .errors import (
     ConvergenceError,
     EmptyDataError,
-    MissingFeatureError,
     ModelDocumentError,
     NonFiniteValueError,
     SeparationError,
@@ -196,7 +195,7 @@ class LabeledDataset:
         """``(bits of features, label, count)`` for every occupied cell, in table order."""
         for name in features:
             if name not in FEATURE_NAMES:
-                raise MissingFeatureError(f"unknown feature {name!r}")
+                raise ValueError(f"unknown feature {name!r}")
         shifts = [len(FEATURE_NAMES) - 1 - FEATURE_NAMES.index(name) for name in features]
         return [(tuple(index >> shift & 1 for shift in shifts), index // _FEATURE_CELLS, count)
                 for index, count in enumerate(self.counts) if count]

@@ -31,7 +31,6 @@ from .features import (
     FeatureVector,
     FetchPolicy,
     KeywordLexicon,
-    default_lexicon,
     features_from_snapshot,
     fetch_site,
 )
@@ -104,18 +103,6 @@ class ScoreReport:
     # (url, reason) of each candidate page the fetch had to leave out
     skipped_pages: tuple[tuple[str, str], ...] = ()
 
-    def __post_init__(self):
-        if self.path not in ("mimicry-screen", "logit-model"):
-            raise ValueError(f"invalid path {self.path!r}")
-        if self.verdict not in ("share", "withhold"):
-            raise ValueError(f"invalid verdict {self.verdict!r}")
-        if self.path == "mimicry-screen":
-            if self.probability_fake != 1.0 or self.mimic_target is None or self.features is not None:
-                raise ValueError("mimicry-screen reports carry probability 1, a target, no features")
-        else:
-            if self.features is None:
-                raise ValueError("logit-model reports carry the extracted features")
-
 
 def score_url(request: ScoreRequest, model: LogitModel, db: KnownDomainDB,
               lexicon: Optional[KeywordLexicon] = None) -> ScoreReport:
@@ -125,7 +112,6 @@ def score_url(request: ScoreRequest, model: LogitModel, db: KnownDomainDB,
     on the model path the verdict is share iff probability <= threshold.
     An exact database hit is annotated but still scored by the model.
     """
-    lexicon = lexicon or default_lexicon()
     domain = normalize_domain(request.url)
     verdict = mimicry_check(domain, db)
     if verdict.outcome == "Mimic":
@@ -138,7 +124,7 @@ def score_url(request: ScoreRequest, model: LogitModel, db: KnownDomainDB,
         )
 
     snapshot = fetch_site(request.url, request.policy, lexicon)
-    features = features_from_snapshot(snapshot, lexicon, source_url=request.url)
+    features = features_from_snapshot(snapshot, lexicon)
     probability = predict_probability(model, features)
     note = None
     if verdict.outcome == "Exact":
@@ -156,7 +142,6 @@ def score_url(request: ScoreRequest, model: LogitModel, db: KnownDomainDB,
 def score_many(requests: Sequence[ScoreRequest], model: LogitModel, db: KnownDomainDB,
                lexicon: Optional[KeywordLexicon] = None) -> list[tuple[ScoreRequest, Optional[ScoreReport], Optional[Exception]]]:
     """Score a batch in input order: on threads only when a request is live."""
-    lexicon = lexicon or default_lexicon()
     live = any(request.policy.offline_root is None for request in requests)
     results = call_each(lambda request: score_url(request, model, db, lexicon), requests,
                         _BATCH_WORKERS if live else None)
@@ -362,8 +347,8 @@ def train(dataset_path: str | Path, features: str | Sequence[str] = "model2",
     The model document is written atomically; on any failure no partial
     file is left behind.
     """
-    data = load_dataset(dataset_path)
     names = resolve_features(features)
+    data = load_dataset(dataset_path)
     fit = fit_logit(data, names)
     diagnostics = diagnose_fit(fit, data, cutoff)
     slopes = marginal_effects(fit.model, data, slope_convention)

@@ -292,16 +292,6 @@ class MimicryVerdict:
     matched_target: Optional[str] = None
     reason: Optional[str] = None      # set iff outcome == "Mimic"
 
-    def __post_init__(self):
-        if self.outcome not in ("Clean", "Exact", "Mimic"):
-            raise ValueError(f"invalid outcome {self.outcome!r}")
-        if self.outcome == "Mimic" and (self.matched_target is None or self.reason is None):
-            raise ValueError("Mimic verdict requires matched_target and reason")
-        if self.outcome == "Exact" and self.matched_target is None:
-            raise ValueError("Exact verdict requires matched_target")
-        if self.outcome == "Clean" and (self.matched_target or self.reason):
-            raise ValueError("Clean verdict carries no target or reason")
-
 
 def _entry_match(domain: str, entry: str) -> Optional[tuple[int, str]]:
     """(distance, reason) for the most specific rule ``entry`` satisfies."""

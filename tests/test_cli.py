@@ -502,6 +502,7 @@ class TestConfigHandling:
         (["train", "--features", "padlock,padlock"],
          "feature list 'padlock,padlock' must name at least one feature, each once"),
         (["train", "--features", " "], "feature list ' ' must name at least one feature, each once"),
+        (["train", "--features", "bogus"], "unknown feature 'bogus'"),
         (["analyze", "--alpha", "0"], "alpha must lie in (0, 1), got 0.0"),
         (["analyze", "--alpha", "1"], "alpha must lie in (0, 1), got 1.0"),
         (["analyze", "--alpha", "nan"], "alpha must lie in (0, 1), got nan"),
@@ -512,6 +513,20 @@ class TestConfigHandling:
                                  *(["--model-out", str(tmp_path / "m.json")] if command == "train" else []))
         assert (code, out, err) == (4, "", f"error: {message}\n")
         assert not (tmp_path / "m.json").exists()
+
+    def test_feature_list_is_refused_before_the_dataset_is_read(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, "train", str(tmp_path / "nope.csv"),
+                                 "--features", "padlock,padlock",
+                                 "--model-out", str(tmp_path / "m.json"))
+        assert (code, out) == (4, "")
+        assert err == ("error: feature list 'padlock,padlock' must name at least one feature, "
+                       "each once\n")
+
+    def test_url_without_a_site_directory_exit_four(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, "extract", "http://-bad.test",
+                                 "--offline-root", str(tmp_path))
+        assert (code, out) == (4, "")
+        assert err == f"error: no offline fixture under {tmp_path} (http://-bad.test)\n"
 
     def test_invalid_threshold_exit_four(self, capsys, offline):
         code, _, _ = run_cli(capsys, "score", "http://en-bare.test",

@@ -58,6 +58,10 @@ class TestScalars:
         assert aic(-147.4639, 6) == pytest.approx(306.9278, abs=1e-4)
         assert aic(0.0, 1) == 2.0
 
+    def test_aic_needs_a_parameter(self):
+        with pytest.raises(ValueError, match="parameter count must be at least 1"):
+            aic(-148.0627, 0)
+
     def test_mcfadden_reference_values(self):
         lnl = log_likelihood_from_aic(REF_AIC_II, 5)
         assert lnl == pytest.approx(-148.0627, abs=1e-6)
@@ -152,6 +156,10 @@ class TestVif:
         rng = np.random.default_rng(45)
         data = random_dataset(rng, 50)
         assert vif(data, ("padlock",)) == {"padlock": 1.0}
+
+    def test_no_feature(self):
+        rng = np.random.default_rng(45)
+        assert vif(random_dataset(rng, 50), ()) == {}
 
 
 # Exact collinearity the rank test must catch: a column that complements

@@ -8,10 +8,13 @@ manifest listed were read in turn and one that was missing or too large
 failed the whole fetch.  The current
 ``fetch_site`` must give the same snapshot, or raise the same error, on
 every fixture site, on the packaged demo fixtures and on the loopback
-server's routes.  Two differences are deliberate and pinned: a manifest
-that lists one URL twice has it read once (``test_manifests["twice"]``),
-and an offline page that cannot be read is now skipped, as a live one
-always was (at the end).
+server's routes.  Three differences are deliberate and pinned: a manifest
+that lists one URL twice has it read once (``test_manifests["twice"]``);
+a manifest name that resolves to the landing URL (``""``, ``"./"``) is not
+a candidate page, as a live link to the landing page is not
+(``test_manifests["landing"]``), where the reference failed on it as a
+missing page; and an offline page that cannot be read is now skipped, as a
+live one always was (at the end).
 """
 
 import json
@@ -168,6 +171,7 @@ LISTED = {
     "past-the-budget": [f"p{i}.html" for i in range(7)],
     "in-a-subdirectory": ["sub/about.html"],
     "outside": ["contact.html", "../outside.html"],
+    "landing": ["", "./", "contact.html"],
 }
 
 
@@ -182,6 +186,15 @@ def test_manifests(tmp_path, case):
         "final_url": "https://listed.test/news/", "secondary_pages": LISTED[case]}),
         encoding="utf-8")
     url, policy = "http://listed.test", FetchPolicy(offline_root=tmp_path / "root")
+    if case == "landing":
+        # the reference read "" as a missing page; the landing page is not a candidate now
+        assert outcome(fetch_site, url, policy) == (
+            NetworkUnreachableError, "fixture lists missing page '' (http://listed.test)")
+        final = "http://listed.test/news/"
+        assert outcome(snapshot.fetch_site, url, policy) == (
+            url, final, [(final, "<h2>index.html</h2>"),
+                         (final + "contact.html", "<h2>contact.html</h2>")], ())
+        return
     if case != "twice":
         assert_same(url, policy)
         return

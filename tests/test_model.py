@@ -229,6 +229,15 @@ class TestFit:
         with pytest.raises(SingularDesignError):
             fit_logit(data, ("padlock", "contact"))  # padlock never varies
 
+    @pytest.mark.parametrize("features,message", [
+        ((), "need at least one feature"),
+        (("padlock", "bogus"), "unknown feature 'bogus'"),
+    ])
+    def test_feature_list_refusals(self, features, message):
+        data = dataset_from_counts([({}, 1, 5), ({}, 0, 5)])
+        with pytest.raises(ValueError, match=re.escape(message)):
+            fit_logit(data, features)
+
     def test_duplicated_column_is_singular(self):
         rows = []
         rng = np.random.default_rng(2)

@@ -40,6 +40,9 @@ class TestNormalizeDomain:
         # xn--nbcnws-eva.com encodes nbcnéws.com
         assert normalize_domain("http://xn--nbcnws-eva.com") == "nbcnéws.com"
 
+    def test_undecodable_punycode_kept(self):
+        assert normalize_domain("xn--a.com") == "xn--a.com"
+
     def test_port_ignored(self):
         assert normalize_domain("http://example.com:8080/x") == "example.com"
 

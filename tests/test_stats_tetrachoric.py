@@ -103,6 +103,10 @@ class TestTetrachoric:
             k = normal_quantile(b1 / table.n)
             assert abs(bivariate_normal_cdf(h, k, est.rho) - table.n11 / table.n) < 1e-8
 
+    def test_negative_count_rejected(self):
+        with pytest.raises(ValueError, match="n11 must be a non-negative count, got -1"):
+            ContingencyTable2x2(-1, 0, 0, 0)
+
     def test_zero_margin_rejected(self):
         with pytest.raises(ZeroMarginError):
             tetrachoric(ContingencyTable2x2(10, 10, 0, 0))
