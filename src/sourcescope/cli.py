@@ -17,6 +17,7 @@ from pathlib import Path
 from typing import Optional
 
 from . import __version__
+from .diagnostics import require_open_unit
 from .errors import EmptyDataError, EstimationError, SourceScopeError
 from .features import FetchPolicy, features_from_snapshot, fetch_site, load_lexicon
 from .files import DATA, read_lines
@@ -284,8 +285,7 @@ def _analysis_lines(report: AnalysisReport, alpha: float) -> list[str]:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    if not 0.0 < args.alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {args.alpha!r}")
+    require_open_unit("alpha", args.alpha)
     report = analyze(args.dataset, yates=args.yates)
     _emit(args, _analysis_payload(report, args.alpha), _analysis_lines(report, args.alpha))
     return EXIT_SHARE

@@ -42,6 +42,7 @@ __all__ = [
     "lr_test",
     "vif",
     "confusion_matrix",
+    "require_open_unit",
     "wald_tests",
     "diagnose_fit",
 ]
@@ -155,11 +156,16 @@ class ConfusionMatrix:
         return tuple(v / 10 for v in floored)
 
 
+def require_open_unit(name: str, value: float) -> None:
+    """Refuse ``value`` with ``ValueError`` unless it lies in (0, 1)."""
+    if not 0.0 < value < 1.0:
+        raise ValueError(f"{name} must lie in (0, 1), got {value!r}")
+
+
 def confusion_matrix(model: LogitModel, data: LabeledDataset,
                      cutoff: float = 0.5) -> ConfusionMatrix:
     """Classify every row (fake iff probability > cutoff) and tabulate."""
-    if not 0.0 < cutoff < 1.0:
-        raise ValueError(f"cutoff must lie in (0, 1), got {cutoff!r}")
+    require_open_unit("cutoff", cutoff)
     beta = [model.intercept, *model.coefficients.values()]
     cells = [0, 0, 0, 0]  # TR, FF, FR, TF
     for x, label, count in cell_design(data, model.features):

@@ -322,26 +322,27 @@ def _read_fixture_page(site_dir: Path, name: str, url: str) -> str:
 
 
 def _manifest_fields(manifest: dict, url: str) -> tuple[str, list[str]]:
-    """The final URL a manifest gives, on its scheme, and the pages it lists."""
-    secure = manifest.get("final_scheme_secure", urlsplit(_complete_url(url)).scheme == "https")
-    if not isinstance(secure, bool):
-        raise NetworkUnreachableError(url, "final_scheme_secure is not true or false")
+    """The final URL a manifest gives, on the scheme it names or else its own, and its pages."""
     final_url = manifest.get("final_url", url)
     if not isinstance(final_url, str):
         raise NetworkUnreachableError(url, "final_url is not a string")
+    parts = urlsplit(_complete_url(final_url))
+    secure = manifest.get("final_scheme_secure", parts.scheme == "https")
+    if not isinstance(secure, bool):
+        raise NetworkUnreachableError(url, "final_scheme_secure is not true or false")
     listed = manifest.get("secondary_pages", [])
     if not isinstance(listed, list) or not all(isinstance(name, str) for name in listed):
         raise NetworkUnreachableError(url, "secondary_pages is not a list of names")
-    parts = urlsplit(_complete_url(final_url))
     scheme = "https" if secure else "http"
     final_url = urlunsplit((scheme, parts.netloc, parts.path or "/", parts.query, ""))
     return final_url, listed
 
 
 def _fixture_source(url: str, root: Path) -> tuple[Page, list[str], Callable[[str], tuple]]:
-    """The saved landing page, the candidate URLs its manifest's names give
-    (:func:`_first_pages`), and the reader of one of them; each URL is read from
-    the first name that gives it, and a name to read outside the site is refused."""
+    """The saved landing page, the candidate URLs its manifest's names give, less
+    any fragment as on a live link (:func:`_first_pages`), and the reader of one of
+    them; each URL is read from the first name that gives it, and a name to read
+    outside the site is refused."""
     site_dir = _fixture_dir(root, url)
     manifest_path = site_dir / "manifest.json"
     refuse = functools.partial(NetworkUnreachableError, url)
@@ -351,6 +352,7 @@ def _fixture_source(url: str, root: Path) -> tuple[Page, list[str], Callable[[st
     landing = Page((final_url, _read_fixture_page(site_dir, "index.html", final_url)))
     names: dict[str, str] = {}
     for name in listed:
+        name = name.partition("#")[0]
         names.setdefault(urljoin(final_url, name), name)
     candidates = _first_pages(final_url, names)
     inside = site_dir.resolve()

@@ -316,10 +316,7 @@ def fit_logit(data: LabeledDataset, features: Sequence[str],
     features = tuple(features)
     if not features:
         raise ValueError("need at least one feature; see null_log_likelihood for the null fit")
-    return _fit(data, features, opts or FitOptions())
-
-
-def _fit(data: LabeledDataset, features: tuple[str, ...], opts: FitOptions) -> FitResult:
+    opts = opts or FitOptions()
     cells = cell_design(data, features)
     if invert(scatter(cells)) is None:
         raise SingularDesignError(
@@ -332,23 +329,22 @@ def _fit(data: LabeledDataset, features: tuple[str, ...], opts: FitOptions) -> F
         residuals = [n * (y - pi) for (_, y, n), pi in zip(cells, p)]
         score = [dot(column, residuals) for column in zip(*(x for x, _, _ in cells))]
         if max(map(abs, score)) < opts.tolerance:
-            return FitResult(_as_model(beta, features), lnl, iteration)
+            model = LogitModel(intercept=beta[0], coefficients=dict(zip(features, beta[1:])))
+            return FitResult(model, lnl, iteration)
 
         inverse = invert(gram(cells, [n * pi * (1.0 - pi) for (_, _, n), pi in zip(cells, p)]))
         if inverse is None:
             raise SingularDesignError("weighted normal equations are singular (degenerate fit)")
         step = [dot(row, score) for row in inverse]
 
-        # step-halving keeps the likelihood monotone on awkward data; a fall
-        # within rounding of lnL is no fall, or a converged fit would stall
-        new_beta = [b + s for b, s in zip(beta, step)]
-        new_lnl = _log_likelihood(cells, new_beta)
-        halvings = 0
-        while new_lnl < lnl - 1e-12 * abs(lnl) and halvings < 20:
-            step = [0.5 * s for s in step]
+        # halve the step, at most 20 times, while lnL falls; a fall within rounding
+        # of lnL is no fall, or a converged fit would stall, and NaN stops at once
+        for _ in range(21):
             new_beta = [b + s for b, s in zip(beta, step)]
             new_lnl = _log_likelihood(cells, new_beta)
-            halvings += 1
+            if not new_lnl < lnl - 1e-12 * abs(lnl):
+                break
+            step = [0.5 * s for s in step]
         beta, lnl = new_beta, new_lnl
 
         if max(map(abs, beta)) > _SEPARATION_BOUND:
@@ -356,10 +352,6 @@ def _fit(data: LabeledDataset, features: tuple[str, ...], opts: FitOptions) -> F
                 f"separation detected: |coefficient| exceeded {_SEPARATION_BOUND}")
 
     raise ConvergenceError(f"no convergence after {opts.max_iterations} iterations")
-
-
-def _as_model(beta: Sequence[float], features: tuple[str, ...]) -> LogitModel:
-    return LogitModel(intercept=beta[0], coefficients=dict(zip(features, beta[1:])))
 
 
 def marginal_effects(model: LogitModel, data: LabeledDataset,

@@ -17,7 +17,7 @@ from pathlib import Path
 from types import MappingProxyType
 from typing import Iterator, Optional, Sequence
 
-from .diagnostics import FitDiagnostics, diagnose_fit, wald_tests, WaldTest
+from .diagnostics import FitDiagnostics, diagnose_fit, require_open_unit, wald_tests, WaldTest
 from .errors import (
     DatasetError,
     DuplicateHeaderError,
@@ -348,6 +348,7 @@ def train(dataset_path: str | Path, features: str | Sequence[str] = "model2",
     file is left behind.
     """
     names = resolve_features(features)
+    require_open_unit("cutoff", cutoff)
     data = load_dataset(dataset_path)
     fit = fit_logit(data, names)
     diagnostics = diagnose_fit(fit, data, cutoff)

@@ -231,11 +231,8 @@ def normalize_domain(url: str) -> str:
     if all(label.isdigit() for label in labels):
         return hostname  # IPv4 literal: no registrable level to reduce to
 
-    suffix = _public_suffix(hostname)
-    if hostname == suffix:
-        return hostname
-    suffix_len = len(suffix.split("."))
-    return ".".join(labels[-(suffix_len + 1):])
+    name, suffix = split_registrable(hostname)
+    return f"{name.rpartition('.')[2]}.{suffix}" if name else hostname
 
 
 def damerau_levenshtein(a: str, b: str) -> int:

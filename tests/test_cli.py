@@ -503,6 +503,8 @@ class TestConfigHandling:
          "feature list 'padlock,padlock' must name at least one feature, each once"),
         (["train", "--features", " "], "feature list ' ' must name at least one feature, each once"),
         (["train", "--features", "bogus"], "unknown feature 'bogus'"),
+        (["train", "--cutoff", "2"], "cutoff must lie in (0, 1), got 2.0"),
+        (["train", "--cutoff", "0"], "cutoff must lie in (0, 1), got 0.0"),
         (["analyze", "--alpha", "0"], "alpha must lie in (0, 1), got 0.0"),
         (["analyze", "--alpha", "1"], "alpha must lie in (0, 1), got 1.0"),
         (["analyze", "--alpha", "nan"], "alpha must lie in (0, 1), got nan"),
@@ -521,6 +523,18 @@ class TestConfigHandling:
         assert (code, out) == (4, "")
         assert err == ("error: feature list 'padlock,padlock' must name at least one feature, "
                        "each once\n")
+
+    @pytest.mark.parametrize("rows", [None, [(y, y) for y in (0, 1) for _ in range(20)]],
+                             ids=["missing", "separated"])
+    def test_cutoff_is_refused_before_the_dataset_is_read(self, capsys, tmp_path, rows):
+        # neither the missing file (exit 4) nor the separated fit (exit 5) is reached
+        path = tmp_path / "data.csv"
+        if rows is not None:
+            path.write_text("label,padlock,contact,telephone,about,terms\n" + "".join(
+                f"{y},{x},0,1,0,1\n" for y, x in rows), encoding="utf-8")
+        code, out, err = run_cli(capsys, "train", str(path), "--features", "padlock",
+                                 "--cutoff", "2")
+        assert (code, out, err) == (4, "", "error: cutoff must lie in (0, 1), got 2.0\n")
 
     def test_url_without_a_site_directory_exit_four(self, capsys, tmp_path):
         code, out, err = run_cli(capsys, "extract", "http://-bad.test",

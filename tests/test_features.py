@@ -436,6 +436,44 @@ class TestOfflineFetch:
         assert [url for url, _ in snap.pages] == ["http://multi.test/", "http://multi.test/contact.html"]
         assert opened.count("contact.html") == 1
 
+    def test_a_listed_name_drops_its_fragment(self, tmp_path, monkeypatch):
+        # as a live link's does: "#top" is the landing page, and both contact
+        # names give one page, read once from the file "contact.html"
+        site = tmp_path / "frag.test"
+        site.mkdir()
+        (site / "index.html").write_text(page("<p>landing</p>"), encoding="utf-8")
+        (site / "contact.html").write_text(page("<p>contact</p>"), encoding="utf-8")
+        (site / "manifest.json").write_text(json.dumps(
+            {"secondary_pages": ["#top", "contact.html#form", "contact.html"]}), encoding="utf-8")
+        opened, open_file = [], Path.open
+
+        def recording_open(path, *args, **kwargs):
+            opened.append(path.name)
+            return open_file(path, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "open", recording_open)
+        snap = fetch_site("http://frag.test", FetchPolicy(offline_root=tmp_path))
+        assert [url for url, _ in snap.pages] == ["http://frag.test/", "http://frag.test/contact.html"]
+        assert snap.skipped_pages == ()
+        assert opened == ["manifest.json", "index.html", "contact.html"]
+
+    @pytest.mark.parametrize("manifest,final_url,padlock", [
+        ({"final_url": "https://a.test/"}, "https://a.test/", 1),
+        ({"final_url": "http://a.test/news"}, "http://a.test/news", 0),
+        ({"final_url": "https://a.test/", "final_scheme_secure": False}, "http://a.test/", 0),
+        ({"final_url": "http://a.test/", "final_scheme_secure": True}, "https://a.test/", 1),
+    ], ids=["https-final", "http-final", "https-final-marked-insecure", "http-final-marked-secure"])
+    @pytest.mark.parametrize("requested", ["http://a.test", "https://a.test"], ids=["http", "https"])
+    def test_padlock_defaults_to_the_final_url_scheme(self, tmp_path, manifest, final_url,
+                                                     padlock, requested):
+        site = tmp_path / "a.test"
+        site.mkdir()
+        (site / "index.html").write_text(page(""), encoding="utf-8")
+        (site / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+        snap = fetch_site(requested, FetchPolicy(offline_root=tmp_path))
+        assert snap.final_url == final_url
+        assert features_from_snapshot(snap, LEX).padlock == padlock
+
     def test_the_first_five_distinct_listed_urls_are_read(self, tmp_path):
         listed = ["p0.html", "p0.html", *(f"p{i}.html" for i in range(1, 7))]
         site = tmp_path / "many.test"

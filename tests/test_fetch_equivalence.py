@@ -8,13 +8,17 @@ manifest listed were read in turn and one that was missing or too large
 failed the whole fetch.  The current
 ``fetch_site`` must give the same snapshot, or raise the same error, on
 every fixture site, on the packaged demo fixtures and on the loopback
-server's routes.  Three differences are deliberate and pinned: a manifest
+server's routes.  Five differences are deliberate and pinned: a manifest
 that lists one URL twice has it read once (``test_manifests["twice"]``);
 a manifest name that resolves to the landing URL (``""``, ``"./"``) is not
 a candidate page, as a live link to the landing page is not
 (``test_manifests["landing"]``), where the reference failed on it as a
-missing page; and an offline page that cannot be read is now skipped, as a
-live one always was (at the end).
+missing page; a manifest name's fragment is dropped, as a live link's is
+(``test_manifests["fragment"]``), where the reference failed on ``#top``
+as a missing page; a manifest that gives ``final_url`` but not
+``final_scheme_secure`` is on ``final_url``'s scheme, not the requested
+URL's (``test_padlock_default``); and an offline page that cannot be read
+is now skipped, as a live one always was (at the end).
 """
 
 import json
@@ -172,6 +176,7 @@ LISTED = {
     "in-a-subdirectory": ["sub/about.html"],
     "outside": ["contact.html", "../outside.html"],
     "landing": ["", "./", "contact.html"],
+    "fragment": ["#top", "contact.html#form", "contact.html"],
 }
 
 
@@ -183,13 +188,15 @@ def test_manifests(tmp_path, case):
                  *(f"p{i}.html" for i in range(7)), "../outside.html"):
         (site / name).write_text(f"<h2>{name}</h2>", encoding="utf-8")
     (site / "manifest.json").write_text(json.dumps({
-        "final_url": "https://listed.test/news/", "secondary_pages": LISTED[case]}),
-        encoding="utf-8")
+        "final_url": "https://listed.test/news/", "final_scheme_secure": False,
+        "secondary_pages": LISTED[case]}), encoding="utf-8")
     url, policy = "http://listed.test", FetchPolicy(offline_root=tmp_path / "root")
-    if case == "landing":
-        # the reference read "" as a missing page; the landing page is not a candidate now
+    if case in ("landing", "fragment"):
+        # the reference read "" and "#top" as missing pages; the landing page is
+        # not a candidate now, and "contact.html#form" is "contact.html"
         assert outcome(fetch_site, url, policy) == (
-            NetworkUnreachableError, "fixture lists missing page '' (http://listed.test)")
+            NetworkUnreachableError,
+            f"fixture lists missing page {LISTED[case][0]!r} (http://listed.test)")
         final = "http://listed.test/news/"
         assert outcome(snapshot.fetch_site, url, policy) == (
             url, final, [(final, "<h2>index.html</h2>"),
@@ -202,6 +209,17 @@ def test_manifests(tmp_path, case):
     requested, final, pages, skipped = outcome(fetch_site, url, policy)
     assert len(pages) == 3
     assert outcome(snapshot.fetch_site, url, policy) == (requested, final, pages[:2], skipped)
+
+
+def test_padlock_default(tmp_path):
+    site = tmp_path / "upgraded.test"
+    site.mkdir()
+    (site / "index.html").write_text("<p>hi</p>", encoding="utf-8")
+    (site / "manifest.json").write_text('{"final_url": "https://upgraded.test/"}', encoding="utf-8")
+    url, policy = "http://upgraded.test", FetchPolicy(offline_root=tmp_path)
+    # the reference took the requested URL's scheme; the final URL's is taken now
+    assert outcome(fetch_site, url, policy)[1] == "http://upgraded.test/"
+    assert outcome(snapshot.fetch_site, url, policy)[1] == "https://upgraded.test/"
 
 
 LIVE_PATHS = ["/", "/hop/3", "/many", "/partial", "/badlink", "/intl", "/moved-intl",
