@@ -133,7 +133,7 @@ def _cmd_score(args: argparse.Namespace) -> int:
     model = load_model_file(args.model) if args.model else MODEL_II
     known_domains, lexicon = load_known_domains(args.known_domains), load_lexicon(args.lexicon)
     policy = _policy(args)
-    if not args.batch:
+    if args.batch is None:
         report = score_url(ScoreRequest(url=args.url, threshold=args.threshold, policy=policy),
                            model, known_domains, lexicon)
         _emit(args, dict(url=args.url, **_report_payload(report)),
@@ -186,7 +186,7 @@ def _cmd_screen(args: argparse.Namespace) -> int:
     return EXIT_WITHHOLD if verdict.outcome == "Mimic" else EXIT_SHARE
 
 
-def _train_payload(result: TrainResult) -> dict:
+def _train_payload(result: TrainResult, model_path: Optional[str]) -> dict:
     model, confusion = result.fit.model, result.diagnostics.confusion
     diagnostics = asdict(result.diagnostics)
     diagnostics["confusion"].update(accuracy=confusion.accuracy,
@@ -200,11 +200,11 @@ def _train_payload(result: TrainResult) -> dict:
         "wald": {name: asdict(test) for name, test in result.wald.items()},
         "slopes": result.slopes,
         "diagnostics": diagnostics,
-        "model_path": str(result.model_path) if result.model_path else None,
+        "model_path": model_path,
     }
 
 
-def _train_lines(result: TrainResult) -> list[str]:
+def _train_lines(result: TrainResult, model_path: Optional[str]) -> list[str]:
     diagnostics = result.diagnostics
     lines = [f"{'':12s}  {'coefficient':>11s}  {'p-value':>8s}  {'slope':>8s}  {'VIF':>6s}"]
     for name, test in result.wald.items():
@@ -230,8 +230,8 @@ def _train_lines(result: TrainResult) -> list[str]:
         f"true-fake {confusion.true_fake} ({shares[3]}%), "
         f"accuracy {confusion.accuracy:.4f}",
     ]
-    if result.model_path:
-        lines.append(f"model written to {result.model_path}")
+    if model_path is not None:
+        lines.append(f"model written to {model_path}")
     return lines
 
 
@@ -243,7 +243,8 @@ def _cmd_train(args: argparse.Namespace) -> int:
         slope_convention=args.slope_convention,
         cutoff=args.cutoff,
     )
-    _emit(args, _train_payload(result), _train_lines(result))
+    model_path = None if args.model_out is None else str(Path(args.model_out))
+    _emit(args, _train_payload(result, model_path), _train_lines(result, model_path))
     return EXIT_SHARE
 
 
@@ -322,8 +323,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_score = sub.add_parser("score", parents=[output, fetching, screening],
                              help="screen, extract and score one URL (or a batch)")
-    p_score.add_argument("url", nargs="?", help="website URL")
-    p_score.add_argument("--batch", help="file with one URL per line")
+    target = p_score.add_mutually_exclusive_group(required=True)
+    target.add_argument("url", nargs="?", help="website URL")
+    target.add_argument("--batch", help="file with one URL per line")
     p_score.add_argument("--model", help="path to a model JSON document (default: builtin)")
     p_score.add_argument("--threshold", type=float, default=0.5,
                          help="tolerance threshold T; share iff probability <= T (default 0.5)")
@@ -345,8 +347,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("dataset", help="CSV with header label,padlock,contact,telephone,about,terms[,url]")
     p_train.add_argument("--features", default="model2",
                          help="'model1', 'model2' or a comma-separated feature list (default model2)")
-    p_train.add_argument("--model-out", dest="model_out", default="model.json",
-                         help="where to write the fitted model document (default model.json)")
+    p_train.add_argument("--model-out", dest="model_out",
+                         help="write the fitted model document to this path (default: none)")
     p_train.add_argument("--slope-convention", choices=("at-means", "average"),
                          default="at-means", dest="slope_convention")
     p_train.add_argument("--cutoff", type=float, default=0.5,
@@ -368,10 +370,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "score" and not args.url and not args.batch:
-        parser.error("score needs a URL or --batch FILE")
-    if args.command == "score" and args.url and args.batch:
-        parser.error("score takes a URL or --batch FILE, not both")
     try:
         return args.func(args)
     except EstimationError as exc:
@@ -380,7 +378,3 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (SourceScopeError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_OPERATIONAL
-
-
-if __name__ == "__main__":
-    sys.exit(main())

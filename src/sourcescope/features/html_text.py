@@ -123,7 +123,7 @@ def _start_tag_end(html: str, i: int) -> int:
     if after == ">":
         return j + 1
     if after == "/":
-        return j + 2 if html.startswith("/>", j) else -1
+        return j + 2
     if after == "" or after in _INCOMPLETE_AT:
         return -1
     return j

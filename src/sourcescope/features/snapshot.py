@@ -268,13 +268,17 @@ def _first_pages(landing_url: str, urls: Iterable[str]) -> list[str]:
     return list(seen)
 
 
-def _candidate_links(landing_url: str, page: PageText, lexicon: KeywordLexicon) -> list[str]:
-    """Same-domain links whose text or path shows any section kind."""
+def _same_site(url: str, landing_url: str) -> bool:
+    """Whether ``url`` lies on the landing page's registrable domain; a URL
+    that reduces to no domain lies on no site."""
     try:
-        site_domain = normalize_domain(landing_url)
+        return normalize_domain(url) == normalize_domain(landing_url)
     except UnparseableUrlError:
-        return []
+        return False
 
+
+def _candidate_links(landing_url: str, page: PageText, lexicon: KeywordLexicon) -> list[str]:
+    """Same-site links whose text or path shows any section kind."""
     def shown():
         for text, href in page.anchors:
             if not href or href.startswith("#"):
@@ -288,11 +292,7 @@ def _candidate_links(landing_url: str, page: PageText, lexicon: KeywordLexicon) 
             resolved = urlunsplit((parts.scheme, parts.netloc, parts.path, parts.query, ""))
             if not lexicon.sections_shown(f"{text}\n{normalize_text(parts.path)}"):
                 continue
-            try:
-                same_site = normalize_domain(resolved) == site_domain
-            except UnparseableUrlError:
-                continue
-            if same_site:
+            if _same_site(resolved, landing_url):
                 yield resolved
     return _first_pages(landing_url, shown())
 
@@ -386,8 +386,8 @@ def fetch_site(url: str, policy: FetchPolicy,
     Live, the candidates are the landing page's links that show a section,
     fetched in parallel.  With ``policy.offline_root`` set, they are the
     pages the fixture's manifest lists, read in this thread, and no sockets
-    are opened.  A candidate that cannot be read is listed in
-    ``skipped_pages`` with its reason.
+    are opened.  A candidate that cannot be read, or that a redirect takes
+    off the landing page's site, is listed in ``skipped_pages`` with its reason.
     """
     _count("snapshots")
     live = policy.offline_root is None
@@ -402,6 +402,8 @@ def fetch_site(url: str, policy: FetchPolicy,
     for link, page in zip(candidates, call_each(read, candidates, len(candidates) if live else None)):
         if isinstance(page, Exception):
             skipped.append((link, page.reason if isinstance(page, FetchError) else str(page)))
+        elif not _same_site(page[0], landing[0]):
+            skipped.append((link, "off-site redirect"))
         else:
             pages.append(page)
     return SiteSnapshot(requested_url=url, final_url=landing[0],

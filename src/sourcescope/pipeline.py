@@ -335,7 +335,6 @@ class TrainResult:
     diagnostics: FitDiagnostics
     slopes: dict[str, float]
     wald: dict[str, WaldTest]
-    model_path: Optional[Path] = None
 
 
 def train(dataset_path: str | Path, features: str | Sequence[str] = "model2",
@@ -344,8 +343,8 @@ def train(dataset_path: str | Path, features: str | Sequence[str] = "model2",
           cutoff: float = 0.5) -> TrainResult:
     """Fit a model on a CSV dataset and assemble the full report.
 
-    The model document is written atomically; on any failure no partial
-    file is left behind.
+    With ``model_out`` given, the model document is written there atomically;
+    on any failure no partial file is left behind.
     """
     names = resolve_features(features)
     require_open_unit("cutoff", cutoff)
@@ -354,12 +353,9 @@ def train(dataset_path: str | Path, features: str | Sequence[str] = "model2",
     diagnostics = diagnose_fit(fit, data, cutoff)
     slopes = marginal_effects(fit.model, data, slope_convention)
     wald = wald_tests(fit.model, data)
-    model_path = None
     if model_out is not None:
-        model_path = Path(model_out)
-        save_model_file(fit.model, model_path)
-    return TrainResult(fit=fit, diagnostics=diagnostics, slopes=slopes,
-                       wald=wald, model_path=model_path)
+        save_model_file(fit.model, model_out)
+    return TrainResult(fit=fit, diagnostics=diagnostics, slopes=slopes, wald=wald)
 
 
 @dataclass(frozen=True)

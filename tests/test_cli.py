@@ -257,6 +257,21 @@ class TestTrainCommand:
                              "--model-out", str(tmp_path / "m.json"))
         assert code == 4
 
+    @pytest.mark.parametrize("mode", ["table", "json"])
+    def test_without_model_out_writes_no_file(self, capsys, dataset_csv, tmp_path,
+                                              monkeypatch, mode):
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        code, out, err = run_cli(capsys, "train", str(dataset_csv), "--output-mode", mode)
+        assert (code, err) == (0, "")
+        assert list(work.iterdir()) == []
+        if mode == "json":
+            assert json.loads(out)["model_path"] is None
+        else:
+            assert "McFadden R-squared" in out
+            assert "model written" not in out
+
 
 class TestAnalyzeCommand:
     def test_table_output(self, capsys, dataset_csv):
@@ -481,7 +496,15 @@ class TestConfigHandling:
         with pytest.raises(SystemExit) as exit_info:
             main(["score"])
         assert exit_info.value.code == 2
-        assert "score needs a URL or --batch FILE" in capsys.readouterr().err
+        assert "one of the arguments url --batch is required" in capsys.readouterr().err
+
+    def test_empty_url_exit_four(self, capsys):
+        assert run_cli(capsys, "score", "") == (4, "", "error: empty URL\n")
+
+    def test_empty_batch_path_exit_four(self, capsys):
+        code, out, err = run_cli(capsys, "score", "--batch", "")
+        assert (code, out) == (4, "")
+        assert err.startswith("error: ")
 
     @pytest.mark.parametrize("timeout", ["inf", "1e300", "nan"])
     def test_timeout_past_the_socket_layer_exit_four(self, capsys, timeout):
@@ -496,7 +519,7 @@ class TestConfigHandling:
         with pytest.raises(SystemExit) as exit_info:
             main(["score", "https://en-bare.test", "--batch", str(batch), *offline])
         assert exit_info.value.code == 2
-        assert "score takes a URL or --batch FILE, not both" in capsys.readouterr().err
+        assert "argument --batch: not allowed with argument url" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv,message", [
         (["train", "--features", "padlock,padlock"],

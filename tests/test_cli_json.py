@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import json
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -50,7 +51,7 @@ def _diagnostics_payload(diagnostics: FitDiagnostics) -> dict:
     }
 
 
-def _train_payload(result: TrainResult) -> dict:
+def _train_payload(result: TrainResult, model_out: Path) -> dict:
     model = result.fit.model
     return {
         "model": {
@@ -63,7 +64,7 @@ def _train_payload(result: TrainResult) -> dict:
                  for name, t in result.wald.items()},
         "slopes": result.slopes,
         "diagnostics": _diagnostics_payload(result.diagnostics),
-        "model_path": str(result.model_path) if result.model_path else None,
+        "model_path": str(model_out),
     }
 
 
@@ -133,7 +134,7 @@ def test_train_json_matches_reference(capsys, tmp_path, csv_paths, dataset, feat
                "--slope-convention", convention, "--cutoff", cutoff]
     out = run_cli(capsys, "train", csv_paths[dataset], "--output-mode", "json", *options)
     expected = _train_payload(train(csv_paths[dataset], features=features, model_out=model_out,
-                                    slope_convention=convention, cutoff=float(cutoff)))
+                                    slope_convention=convention, cutoff=float(cutoff)), model_out)
     assert out == _json_text(expected)
 
 
@@ -154,7 +155,8 @@ def test_report_json_files_match_reference(capsys, tmp_path, csv_paths):
     run_cli(capsys, "train", path, "--model-out", tmp_path / "m.json", "--cutoff", "0.4",
             "--report-json", train_report)
     run_cli(capsys, "analyze", path, "--yates", "--report-json", analyze_report)
-    expected_train = _train_payload(train(path, model_out=tmp_path / "m.json", cutoff=0.4))
+    expected_train = _train_payload(train(path, model_out=tmp_path / "m.json", cutoff=0.4),
+                                    tmp_path / "m.json")
     report = analyze(path, yates=True)
     expected_analysis = _analysis_payload(SimpleNamespace(**vars(report), alpha=0.0001))
     assert train_report.read_text(encoding="utf-8") == _json_text(expected_train)

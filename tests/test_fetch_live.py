@@ -26,6 +26,7 @@ from sourcescope.features import (
     FetchPolicy,
     default_lexicon,
     extract_features,
+    features_from_snapshot,
     fetch_site,
     parse_page,
 )
@@ -53,6 +54,14 @@ MANY = ("<!DOCTYPE html><html><body>"
 PARTIAL = """<!DOCTYPE html><html><body>
 <a href="/gone-contact.html">Contact us</a>
 <a href="/gone-about.html">About us</a>
+</body></html>"""
+
+# its contact link answers 302 to another host, whose footer shows a phone and terms
+LEAVING = """<!DOCTYPE html><html><body>
+<a href="/leave-contact">Contact us</a>
+</body></html>"""
+ELSEWHERE = """<!DOCTYPE html><html><body>
+<footer>phone: 555 010 3344 <a href="/terms.html">Terms of use</a></footer>
 </body></html>"""
 
 BADLINK = """<!DOCTYPE html><html><body>
@@ -167,6 +176,14 @@ class Handler(BaseHTTPRequestHandler):
             self._send_html(INTL)
         elif self.path == "/partial":
             self._send_html(PARTIAL)
+        elif self.path == "/leaving":
+            self._send_html(LEAVING)
+        elif self.path == "/leave-contact":
+            self.send_response(302)
+            self.send_header("Location", f"http://localhost:{self.server.server_address[1]}/elsewhere")
+            self.end_headers()
+        elif self.path == "/elsewhere":
+            self._send_html(ELSEWHERE)
         elif self.path == "/badlink":
             self._send_html(BADLINK)
         elif self.path == "/many":
@@ -405,6 +422,14 @@ def test_fetch_site_records_skipped_pages(server):
     assert snap.skipped_pages == ((f"{server}/gone-contact.html", "HTTP 404"),
                                   (f"{server}/gone-about.html", "HTTP 404"))
     assert fetch_site(f"{server}/", FetchPolicy(timeout=5)).skipped_pages == ()
+
+
+def test_candidate_redirected_off_site_is_skipped(server):
+    snap = fetch_site(f"{server}/leaving", FetchPolicy(timeout=5))
+    assert [url for url, _ in snap.pages] == [f"{server}/leaving"]
+    assert snap.skipped_pages == ((f"{server}/leave-contact", "off-site redirect"),)
+    features = features_from_snapshot(snap, default_lexicon())
+    assert (features.telephone, features.terms) == (0, 0)
 
 
 def test_each_page_is_parsed_once(server, fixture_sites, monkeypatch):

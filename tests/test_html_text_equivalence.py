@@ -176,6 +176,7 @@ _ATOMS = [
     "<a b==c>", '<a"b>', "<a:b>", "</ x>", "</>", "</a b>", "</ x y>", "</1>",
     '<a href="x>y">', "<a href=x\"y>", "<a\nhref='/contact'\r\n>", "<div\tclass=footer\n>",
     "<a b='c'd=e>", "<a =x>", "<a b= >", "<a / >", "<a b=c />", "<a\x00b>", "<a\xa0b>",
+    '<a href="x"c="y"/>',
     "<a href=\"/contact\" href=/about>", "<div id class=footer>", "<a\x0bhref=/contact/us>",
     "<div\xa0class=footer\x00>",
     # entities
@@ -224,6 +225,7 @@ def test_character_soup_parses_as_before(html):
     "<a href=/x>cut &amp",
     "<a href='/x",
     "<p>a < b</p>",
+    '<a href="x"c="y"/>',
 ])
 def test_known_pages_parse_as_before(html):
     assert_same_page(html)
